@@ -3,8 +3,10 @@
 The expensive pq x pq posterior solve is replaced by cyclic exact
 minimization over index blocks of vec(X); the posterior covariance is
 approximated as block diagonal (cross-block correlations treated as zero),
-which keeps every inverse at block size. The precision/noise updates reuse
-the full-solver formulas on the scattered block-diagonal covariance.
+which keeps every inverse at block size. Only the posterior step is its
+own: the outer loop with its precision, balancing and noise updates is
+the full solver's (:func:`rsvm.core.iterate`), run on the scattered
+block-diagonal covariance.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ import numpy as np
 from .core import (
     Estimate,
     Hyperparameters,
-    SolverDivergenceError,
     SolverState,
-    balance_precisions,
-    effective_rank,
-    init_state,
+    iterate,
     update_precisions,
 )
 from .kronops import spd_inverse, unvec, vec
@@ -82,17 +81,14 @@ def partition_blocks(p: int, q: int, strategy: str = "columns",
                           strategy)
 
 
-def _block_solve(prior, a_dense, y, beta, x_flat, idx, jitter):
-    """Exact minimizer of the fixed-precision objective over one block."""
+def _block_rhs(prior, a_dense, y, beta, x_flat, idx):
+    """Right-hand side of the normal equations of one block, the rest fixed."""
     mask = np.ones(x_flat.size, dtype=bool)
     mask[idx] = False
     idx_c = np.nonzero(mask)[0]
-    a_b = a_dense[:, idx]
-    sigma_b = spd_inverse(prior[np.ix_(idx, idx)] + beta * (a_b.T @ a_b),
-                          jitter)
     resid = y - a_dense[:, idx_c] @ x_flat[idx_c]
-    rhs = beta * (a_b.T @ resid) - prior[np.ix_(idx, idx_c)] @ x_flat[idx_c]
-    return sigma_b @ rhs, sigma_b
+    return beta * (a_dense[:, idx].T @ resid) \
+        - prior[np.ix_(idx, idx_c)] @ x_flat[idx_c]
 
 
 def block_map_update(state: SolverState, inst: ProblemInstance,
@@ -105,8 +101,13 @@ def block_map_update(state: SolverState, inst: ProblemInstance,
     """
     prec = state.precisions
     prior = np.kron(prec.alpha_r, prec.alpha_l)
-    return _block_solve(prior, inst.operator.dense(), inst.y, prec.beta,
-                        vec(state.x_hat), part.blocks[i], jitter)
+    a_dense = inst.operator.dense()
+    idx = part.blocks[i]
+    a_b = a_dense[:, idx]
+    sigma_b = spd_inverse(prior[np.ix_(idx, idx)] + prec.beta * (a_b.T @ a_b),
+                          jitter)
+    rhs = _block_rhs(prior, a_dense, inst.y, prec.beta, vec(state.x_hat), idx)
+    return sigma_b @ rhs, sigma_b
 
 
 DEFAULT_MAX_ITER = 30
@@ -119,16 +120,15 @@ def solve_accelerated(inst: ProblemInstance,
                       trace_path=None) -> Estimate:
     """Full solver with the block-descent inner loop.
 
-    Each outer iteration runs k_sweeps cyclic passes of exact block
-    minimization (ascending block order), then updates precisions and the
-    noise precision using the block-diagonal covariance scattered into the
-    full pq x pq pattern.
+    Posterior step: k_sweeps cyclic passes of exact block minimization
+    (ascending block order), warm-started from the previous outer
+    iteration, and the block-diagonal covariance scattered into the full
+    pq x pq pattern. Precision step: the full-solver update on that
+    covariance. See :func:`rsvm.core.iterate` for the loop.
 
     The block-diagonal approximation slows per-outer-iteration progress,
     so the default horizon is longer than the full solver's.
     """
-    from .core import _write_trace_header, _write_trace_row, neg_log_joint
-
     hyper = hyper or Hyperparameters(max_iter=DEFAULT_MAX_ITER)
     p, q = inst.p, inst.q
     part = part or partition_blocks(p, q, "columns", min(4, q))
@@ -136,73 +136,26 @@ def solve_accelerated(inst: ProblemInstance,
         raise ValueError("k_sweeps must be >= 1")
     a_dense = inst.operator.dense()
     grams = [a_dense[:, idx].T @ a_dense[:, idx] for idx in part.blocks]
+    x_flat = np.zeros(p * q)
 
-    state = init_state(inst, hyper)
-    x_flat = vec(state.x_hat).copy()
-    x_prev = state.x_hat
-    converged = False
-    trace_fh = open(trace_path, "w") if trace_path is not None else None
-    if trace_fh:
-        _write_trace_header(trace_fh, extra=("sweeps",))
-    try:
-        for it in range(1, hyper.max_iter + 1):
-            prec = state.precisions
-            prior = np.kron(prec.alpha_r, prec.alpha_l)
-            # Local covariances depend only on the precisions: one inverse
-            # per block per outer iteration, shared across sweeps.
-            sigmas = [spd_inverse(prior[np.ix_(idx, idx)] + prec.beta * g,
-                                  hyper.jitter)
-                      for idx, g in zip(part.blocks, grams)]
-            for _ in range(k_sweeps):
-                for b, idx in enumerate(part.blocks):
-                    mask = np.ones(x_flat.size, dtype=bool)
-                    mask[idx] = False
-                    idx_c = np.nonzero(mask)[0]
-                    resid = inst.y - a_dense[:, idx_c] @ x_flat[idx_c]
-                    rhs = prec.beta * (a_dense[:, idx].T @ resid) \
-                        - prior[np.ix_(idx, idx_c)] @ x_flat[idx_c]
-                    x_flat[idx] = sigmas[b] @ rhs
-            # x_flat is mutated across iterations: snapshot a copy
-            x = unvec(x_flat.copy(), p, q)
-            if not np.all(np.isfinite(x)):
-                raise SolverDivergenceError(
-                    f"non-finite estimate at iteration {it}", state)
-            rel = float(np.linalg.norm(x - x_prev, "fro")
-                        / max(np.linalg.norm(x_prev, "fro"), 1e-12))
-
-            sigma_block = np.zeros((p * q, p * q))
+    def posterior(state):
+        prec = state.precisions
+        prior = np.kron(prec.alpha_r, prec.alpha_l)
+        # Local covariances depend only on the precisions: one inverse
+        # per block per outer iteration, shared across sweeps.
+        sigmas = [spd_inverse(prior[np.ix_(idx, idx)] + prec.beta * g,
+                              hyper.jitter)
+                  for idx, g in zip(part.blocks, grams)]
+        for _ in range(k_sweeps):
             for idx, sig in zip(part.blocks, sigmas):
-                sigma_block[np.ix_(idx, idx)] = sig
-            state.x_hat, state.sigma = x, sigma_block
+                x_flat[idx] = sig @ _block_rhs(prior, a_dense, inst.y,
+                                               prec.beta, x_flat, idx)
+        sigma = np.zeros((p * q, p * q))
+        for idx, sig in zip(part.blocks, sigmas):
+            sigma[np.ix_(idx, idx)] = sig
+        # x_flat is mutated across iterations: return a copy
+        return unvec(x_flat.copy(), p, q), sigma
 
-            state.precisions = update_precisions(state, hyper)
-            state.precisions = balance_precisions(state.precisions, x)
-            resid_full = inst.y - inst.operator.apply(x_flat)
-            tr_blocks = sum(
-                float(np.einsum("ij,jk,ik->", a_dense[:, idx], sig,
-                                a_dense[:, idx], optimize=True))
-                for idx, sig in zip(part.blocks, sigmas))
-            state.precisions.beta = (inst.m + 2.0 * hyper.c) / (
-                float(resid_full @ resid_full) + tr_blocks + 2.0 * hyper.d)
-            state.iter = it
-
-            obj = neg_log_joint(state, inst, hyper)
-            state.history.append((it, rel, obj))
-            if trace_fh:
-                _write_trace_row(trace_fh, it, rel, obj,
-                                 state.precisions.beta, effective_rank(x),
-                                 extra=(k_sweeps,))
-            if rel < hyper.tol:
-                converged = True
-                break
-            x_prev = x
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    return Estimate(
-        x_hat=state.x_hat,
-        effective_rank=effective_rank(state.x_hat),
-        beta_hat=state.precisions.beta,
-        iterations=state.iter,
-        converged=converged,
-    )
+    return iterate(inst, hyper, posterior,
+                   lambda state: update_precisions(state, hyper),
+                   trace_path, extra=(("sweeps", k_sweeps),))

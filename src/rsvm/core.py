@@ -183,37 +183,29 @@ def neg_log_joint(state: SolverState, inst: ProblemInstance,
     return 0.5 * prec.beta * float(resid @ resid) + 0.5 * prior
 
 
-def _write_trace_header(fh, extra=()):
-    cols = ["iter", "rel_change", "neg_log_joint", "beta", "effective_rank"]
-    fh.write(",".join(cols + list(extra)) + "\n")
+def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
+            precisions, trace_path=None, extra=()) -> Estimate:
+    """The iteration shared by the Bayesian solvers.
 
-
-def _write_trace_row(fh, it, rel, obj, beta, rank, extra=()):
-    vals = [str(it), f"{rel:.6g}", f"{obj:.6g}", f"{beta:.6g}", str(rank)]
-    fh.write(",".join(vals + [str(v) for v in extra]) + "\n")
-
-
-def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
-          trace_path=None) -> Estimate:
-    """Run the full solver until the estimate stabilizes.
-
-    Each iteration: posterior mode/covariance, precision updates, precision
-    balancing, noise-precision update. Stops when the relative Frobenius
-    change of the estimate drops below hyper.tol or at hyper.max_iter.
+    Each iteration: posterior(state) -> (x_hat, sigma), precisions(state) ->
+    PrecisionState, precision balancing, noise-precision update. Stops when
+    the relative Frobenius change of the estimate drops below hyper.tol or
+    at hyper.max_iter. ``extra`` holds (column, value) pairs appended to
+    every trace row.
 
     Raises SolverDivergenceError (with the offending state attached) if
     non-finite values appear.
     """
-    hyper = hyper or Hyperparameters()
     state = init_state(inst, hyper)
     x_prev = state.x_hat
     converged = False
     trace_fh = open(trace_path, "w") if trace_path is not None else None
     if trace_fh:
-        _write_trace_header(trace_fh)
+        cols = ["iter", "rel_change", "neg_log_joint", "beta", "effective_rank"]
+        trace_fh.write(",".join(cols + [name for name, _ in extra]) + "\n")
     try:
         for it in range(1, hyper.max_iter + 1):
-            x, sigma = map_estimate(state, inst, hyper.jitter)
+            x, sigma = posterior(state)
             if not np.all(np.isfinite(x)):
                 raise SolverDivergenceError(
                     f"non-finite estimate at iteration {it}", state)
@@ -221,7 +213,7 @@ def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
             rel = float(np.linalg.norm(x - x_prev, "fro")
                         / max(np.linalg.norm(x_prev, "fro"), 1e-12))
 
-            state.precisions = update_precisions(state, hyper)
+            state.precisions = precisions(state)
             state.precisions = balance_precisions(state.precisions, x)
             state.precisions.beta = update_noise_precision(state, inst, hyper)
             state.iter = it
@@ -229,8 +221,10 @@ def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
             obj = neg_log_joint(state, inst, hyper)
             state.history.append((it, rel, obj))
             if trace_fh:
-                _write_trace_row(trace_fh, it, rel, obj,
-                                 state.precisions.beta, effective_rank(x))
+                vals = [str(it), f"{rel:.6g}", f"{obj:.6g}",
+                        f"{state.precisions.beta:.6g}", str(effective_rank(x))]
+                trace_fh.write(",".join(vals + [str(v) for _, v in extra])
+                               + "\n")
             if rel < hyper.tol:
                 converged = True
                 break
@@ -245,3 +239,20 @@ def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
         iterations=state.iter,
         converged=converged,
     )
+
+
+def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
+          trace_path=None) -> Estimate:
+    """Run the full solver until the estimate stabilizes.
+
+    Posterior step: the exact posterior mode and covariance; precision step:
+    the Gauss-Seidel left/right update. See :func:`iterate` for the loop,
+    its stopping rule and SolverDivergenceError.
+    """
+    hyper = hyper or Hyperparameters()
+    # The steps look map_estimate/update_precisions up at call time, so a
+    # wrapper installed on the module attribute sees every call.
+    return iterate(inst, hyper,
+                   lambda state: map_estimate(state, inst, hyper.jitter),
+                   lambda state: update_precisions(state, hyper),
+                   trace_path)

@@ -81,12 +81,6 @@ def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
     return np.einsum("ji,likj->kl", alpha_l, t)
 
 
-def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
-    c = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    inv = scipy.linalg.cho_solve(c, np.eye(m.shape[0]), check_finite=False)
-    return symmetrize(inv)
-
-
 def _jitter_attempts(m: np.ndarray, jitter: float) -> list[float]:
     dim = m.shape[0]
     floor = 1e-12 * abs(float(np.trace(m))) / dim
@@ -95,8 +89,8 @@ def _jitter_attempts(m: np.ndarray, jitter: float) -> list[float]:
     return [jitter] + [max(jitter, floor * 10.0**k) for k in range(3)]
 
 
-def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Invert a symmetric positive definite matrix via Cholesky.
+def _spd_factor(m: np.ndarray, jitter: float = 0.0):
+    """Cholesky factor (``cho_factor`` pair) of an SPD matrix.
 
     Adds ``jitter * I`` up front; on factorization failure retries with a
     trace-scaled jitter floor escalated x10 up to three times, then raises
@@ -106,29 +100,31 @@ def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     eye = np.eye(m.shape[0])
     for eps in _jitter_attempts(m, jitter):
         try:
-            return _cholesky_inverse(m + eps * eye if eps else m)
+            return scipy.linalg.cho_factor(m + eps * eye if eps else m,
+                                           lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
-        f"SPD inversion failed for dim {m.shape[0]} after jitter escalation"
+        f"Cholesky factorization failed for dim {m.shape[0]} after jitter "
+        "escalation"
     )
+
+
+def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """Invert a symmetric positive definite matrix via Cholesky.
+
+    Uses the jitter schedule of :func:`_spd_factor`; raises
+    :class:`FactorizationError` when it is exhausted.
+    """
+    c = _spd_factor(m, jitter)
+    eye = np.eye(c[0].shape[0])
+    return symmetrize(scipy.linalg.cho_solve(c, eye, check_finite=False))
 
 
 def spd_solve(m: np.ndarray, rhs: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Solve m x = rhs for SPD m, with the same jitter schedule as spd_inverse."""
-    m = symmetrize(np.asarray(m, dtype=float))
-    eye = np.eye(m.shape[0])
-    for eps in _jitter_attempts(m, jitter):
-        try:
-            c = scipy.linalg.cho_factor(
-                m + eps * eye if eps else m, lower=True, check_finite=False
-            )
-            return scipy.linalg.cho_solve(c, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(
-        f"SPD solve failed for dim {m.shape[0]} after jitter escalation"
-    )
+    return scipy.linalg.cho_solve(_spd_factor(m, jitter), rhs,
+                                  check_finite=False)
 
 
 def _operator_parts(a):

@@ -41,9 +41,14 @@ def svt_prox(x: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return np.asarray(x, dtype=float)
+    return _soft_threshold(x, tau)[0]
+
+
+def _soft_threshold(x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """svt_prox(x, tau) and the nuclear norm of the result."""
     u, s, vt = np.linalg.svd(np.asarray(x, dtype=float), full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt
+    return (u * s) @ vt, float(s.sum())
 
 
 def largest_gram_eigenvalue(op: MeasurementOperator, n_iter: int = 200,
@@ -65,14 +70,25 @@ def largest_gram_eigenvalue(op: MeasurementOperator, n_iter: int = 200,
     return lam
 
 
-def _objective(inst, x, lam):
+def _objective(inst, x, lam, nuc):
+    """Lagrangian objective at x, given nuc = ||x||_*."""
     r = inst.y - inst.operator.apply(vec(x))
-    return 0.5 * float(r @ r) + lam * nuclear_norm(x)
+    return 0.5 * float(r @ r) + lam * nuc
 
 
 def _grad(inst, x):
     r = inst.y - inst.operator.apply(vec(x))
     return -unvec(inst.operator.apply_adjoint(r), inst.p, inst.q)
+
+
+def _prox_step(inst, x, step, lam):
+    """Proximal-gradient step from x and the objective at its result.
+
+    The soft-threshold already yields the result's singular values, so the
+    objective needs no second SVD.
+    """
+    cand, nuc = _soft_threshold(x - step * _grad(inst, x), step * lam)
+    return cand, _objective(inst, cand, lam, nuc)
 
 
 def _fista(inst, lam, cfg, x0=None, lipschitz=None, history=None):
@@ -91,22 +107,19 @@ def _fista(inst, lam, cfg, x0=None, lipschitz=None, history=None):
     x = np.zeros((inst.p, inst.q)) if x0 is None else np.array(x0, dtype=float)
     z = x.copy()
     t = 1.0
-    f = _objective(inst, x, lam)
+    f = _objective(inst, x, lam, nuclear_norm(x))
     if history is not None:
         history.append(f)
     it = 0
     for it in range(1, cfg.max_fista_iter + 1):
-        cand = svt_prox(z - step * _grad(inst, z), step * lam)
-        f_cand = _objective(inst, cand, lam)
+        cand, f_cand = _prox_step(inst, z, step, lam)
         if f_cand > f:
             local = step
-            cand = svt_prox(x - local * _grad(inst, x), local * lam)
-            f_cand = _objective(inst, cand, lam)
+            cand, f_cand = _prox_step(inst, x, local, lam)
             bt = 0
             while f_cand > f * (1 + 1e-14) + 1e-300 and bt < 60:
                 local *= 0.5
-                cand = svt_prox(x - local * _grad(inst, x), local * lam)
-                f_cand = _objective(inst, cand, lam)
+                cand, f_cand = _prox_step(inst, x, local, lam)
                 bt += 1
             t = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))

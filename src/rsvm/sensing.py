@@ -52,7 +52,6 @@ class MeasurementOperator:
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         self._dense = None
-        self._gram = None
 
     # -- vector-level actions ------------------------------------------------
 
@@ -95,17 +94,6 @@ class MeasurementOperator:
             else:
                 self._dense = self.matrix
         return self._dense
-
-    def gram(self) -> np.ndarray:
-        """A^T A (cached; diagonal 0/1 pattern for completion)."""
-        if self._gram is None:
-            if self.kind == COMPLETION:
-                g = np.zeros((self.p * self.q, self.p * self.q))
-                g[self.vec_indices, self.vec_indices] = 1.0
-                self._gram = g
-            else:
-                self._gram = self.matrix.T @ self.matrix
-        return self._gram
 
     def trace_quadratic(self, sigma: np.ndarray) -> float:
         """tr(A sigma A^T) for a pq x pq covariance."""

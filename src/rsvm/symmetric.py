@@ -1,10 +1,12 @@
 """Solver variant for symmetric p x p matrices with a single precision.
 
 The left and right singular vectors of a symmetric matrix coincide up to
-sign, so one precision matrix serves both sides. The posterior covariance
-is expanded in a Kronecker-sum decomposition (rearrangement + SVD) whose
-terms feed the precision update; with the full number of terms the update
-is exact, fewer terms trade accuracy for speed.
+sign, so one precision matrix serves both sides. The solver runs the full
+solver's loop (:func:`rsvm.core.iterate`) with that precision as both the
+left and the right one. The exact precision update (the default) contracts
+the posterior covariance against alpha directly. The approximate update,
+chosen by s_terms < p^2, keeps that many terms of a Kronecker-sum expansion
+of the covariance (rearrangement + SVD).
 """
 
 from __future__ import annotations
@@ -13,15 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate, Hyperparameters, effective_rank
+from .core import (
+    Estimate,
+    Hyperparameters,
+    PrecisionState,
+    iterate,
+    map_estimate,
+)
 from .kronops import (
     KronSum,
     nearest_kron_sum,
-    posterior_covariance,
     spd_inverse,
     symmetrize,
-    unvec,
-    vec,
+    trace_contract_left,
+    trace_contract_right,
 )
 from .sensing import ProblemInstance
 
@@ -57,6 +64,14 @@ def _clip_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
+def _alpha_update(x: np.ndarray, alpha: np.ndarray, pair: np.ndarray,
+                  hyper: Hyperparameters) -> np.ndarray:
+    """alpha <- nu_eff (2 X alpha X + clip_psd(pair) + eps I)^{-1}."""
+    mat = 2.0 * x @ alpha @ x + _clip_psd(pair) \
+        + hyper.epsilon_scale * np.eye(x.shape[0])
+    return symmetrize(hyper.nu_eff * spd_inverse(symmetrize(mat), hyper.jitter))
+
+
 def update_precision_symmetric(state: SymmetricState,
                                hyper: Hyperparameters) -> np.ndarray:
     """alpha <- nu_eff (2 X alpha X + sigma_contractions + eps I)^{-1}.
@@ -65,12 +80,8 @@ def update_precision_symmetric(state: SymmetricState,
     truncated expansion can dip indefinite, so the pair is clipped to the
     nearest PSD matrix before inversion.
     """
-    x = state.x_hat
-    p = x.shape[0]
     sig_a, sig_b = _sigma_contractions(state.sigma_kron, state.alpha)
-    mat = 2.0 * x @ state.alpha @ x + _clip_psd(sig_a + sig_b) \
-        + hyper.epsilon_scale * np.eye(p)
-    return symmetrize(hyper.nu_eff * spd_inverse(symmetrize(mat), hyper.jitter))
+    return _alpha_update(state.x_hat, state.alpha, sig_a + sig_b, hyper)
 
 
 def solve_symmetric(inst: ProblemInstance,
@@ -79,65 +90,36 @@ def solve_symmetric(inst: ProblemInstance,
                     trace_path=None) -> Estimate:
     """Iterate the single-precision solver on a square instance.
 
-    The estimate is projected onto symmetric matrices each iteration
-    (Frobenius projection (X + X^T)/2). s_terms defaults to p^2, the exact
-    decomposition.
+    Runs :func:`rsvm.core.iterate` with alpha held as both precisions, so
+    balancing reduces to alpha -> alpha tr(alpha^-1) / ||X||_F. The
+    estimate is projected onto symmetric matrices each iteration (Frobenius
+    projection (X + X^T)/2). s_terms defaults to p^2, the exact update,
+    which contracts the covariance against alpha directly; s_terms < p^2
+    goes through the truncated Kronecker-sum expansion.
     """
-    from .core import _write_trace_header, _write_trace_row
-
     hyper = hyper or Hyperparameters()
     p, q = inst.p, inst.q
     if p != q:
         raise ValueError(f"symmetric solver needs p == q, got {p}x{q}")
     s = p * p if s_terms is None else int(s_terms)
+    if not 1 <= s <= p * p:
+        raise ValueError(f"s_terms must be in [1, {p * p}]")
 
-    alpha = np.eye(p)
-    energy = float(inst.y @ inst.y)
-    beta = 10.0 * inst.m / energy if energy > 0 else 1.0
+    def posterior(state):
+        x, sigma = map_estimate(state, inst, hyper.jitter)
+        return symmetrize(x), sigma
 
-    x_prev = np.zeros((p, p))
-    converged = False
-    it = 0
-    trace_fh = open(trace_path, "w") if trace_path is not None else None
-    if trace_fh:
-        _write_trace_header(trace_fh)
-    try:
-        for it in range(1, hyper.max_iter + 1):
-            sigma = posterior_covariance(alpha, alpha, inst.operator, beta,
-                                         jitter=hyper.jitter)
-            x = unvec(beta * (sigma @ inst.operator.apply_adjoint(inst.y)), p, p)
-            x = symmetrize(x)
-            rel = float(np.linalg.norm(x - x_prev, "fro")
-                        / max(np.linalg.norm(x_prev, "fro"), 1e-12))
+    def precisions(state):
+        prec = state.precisions
+        if s < p * p:
+            ks = nearest_kron_sum(state.sigma, p, s)
+            alpha = update_precision_symmetric(
+                SymmetricState(state.x_hat, prec.alpha_l, prec.beta, ks, s),
+                hyper)
+        else:
+            pair = trace_contract_right(state.sigma, prec.alpha_l) \
+                + trace_contract_left(state.sigma, prec.alpha_l)
+            alpha = _alpha_update(state.x_hat, prec.alpha_l, pair, hyper)
+        return PrecisionState(alpha, alpha, prec.beta)
 
-            ks = nearest_kron_sum(sigma, p, s)
-            state = SymmetricState(x, alpha, beta, ks, s)
-            alpha = update_precision_symmetric(state, hyper)
-            fx = float(np.linalg.norm(x, "fro"))
-            if fx >= 1e-14:
-                alpha = alpha * (float(np.trace(spd_inverse(alpha))) / fx)
-
-            resid = inst.y - inst.operator.apply(vec(x))
-            beta = (inst.m + 2.0 * hyper.c) / (
-                float(resid @ resid) + inst.operator.trace_quadratic(sigma)
-                + 2.0 * hyper.d)
-
-            if trace_fh:
-                obj = 0.5 * beta * float(resid @ resid) \
-                    + 0.5 * float(np.sum((alpha @ x @ alpha) * x))
-                _write_trace_row(trace_fh, it, rel, obj, beta,
-                                 effective_rank(x))
-            if rel < hyper.tol:
-                converged = True
-                break
-            x_prev = x
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    return Estimate(
-        x_hat=x,
-        effective_rank=effective_rank(x),
-        beta_hat=beta,
-        iterations=it,
-        converged=converged,
-    )
+    return iterate(inst, hyper, posterior, precisions, trace_path)

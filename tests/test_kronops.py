@@ -7,6 +7,7 @@ from rsvm.kronops import (
     nearest_kron_sum,
     posterior_covariance,
     spd_inverse,
+    spd_solve,
     trace_contract_left,
     trace_contract_right,
     unvec,
@@ -129,6 +130,13 @@ class TestTraceContractions:
             trace_contract_right(np.eye(6), np.eye(4))
 
 
+# spd_inverse and spd_solve share one factorization and jitter schedule
+INVERTERS = {
+    "spd_inverse": spd_inverse,
+    "spd_solve": lambda m: spd_solve(m, np.eye(m.shape[0])),
+}
+
+
 class TestSpdInverse:
     def test_identity(self):
         np.testing.assert_allclose(spd_inverse(np.eye(3)), np.eye(3),
@@ -143,17 +151,19 @@ class TestSpdInverse:
         m = random_spd(rng, 5)
         np.testing.assert_allclose(spd_inverse(m) @ m, np.eye(5), atol=1e-10)
 
-    def test_jitter_rescues_singular_input(self):
+    @pytest.mark.parametrize("invert", INVERTERS.values(), ids=INVERTERS)
+    def test_jitter_rescues_singular_input(self, invert):
         u = np.ones((4, 1))
         singular = u @ u.T  # rank one, Cholesky fails without jitter
-        out = spd_inverse(singular)
+        out = invert(singular)
         assert np.all(np.isfinite(out))
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
-    def test_hard_failure_raises(self):
+    @pytest.mark.parametrize("invert", INVERTERS.values(), ids=INVERTERS)
+    def test_hard_failure_raises(self, invert):
         bad = np.diag([1.0, -1e6])  # indefinite beyond any tiny jitter
         with pytest.raises(FactorizationError):
-            spd_inverse(bad)
+            invert(bad)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(7)

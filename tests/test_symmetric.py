@@ -39,8 +39,8 @@ class TestUpdatePrecision:
             + hyper.epsilon_scale * np.eye(p))
         np.testing.assert_allclose(out, expected, rtol=1e-10)
 
-    def test_full_decomposition_matches_dense_contractions(self):
-        p = 2
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_full_decomposition_matches_dense_contractions(self, p):
         hyper = Hyperparameters()
         rng = np.random.default_rng(1)
         alpha = random_spd(rng, p)
@@ -119,6 +119,17 @@ class TestSolveSymmetric:
         rel = (np.linalg.norm(est_trunc.x_hat - est_full.x_hat, "fro")
                / np.linalg.norm(est_full.x_hat, "fro"))
         assert rel < 0.5
+
+    def test_trace_file(self, tmp_path):
+        p = 4
+        x = psd_truth(p, 1, 20)
+        op = completion_operator(p, p, 12, 21)
+        inst = measure(op, x, 0.1, 22)
+        path = tmp_path / "trace.csv"
+        solve_symmetric(inst, Hyperparameters(max_iter=5), trace_path=path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "iter,rel_change,neg_log_joint,beta,effective_rank"
+        assert len(lines) == 6
 
     def test_deterministic(self):
         p = 6
