@@ -35,10 +35,12 @@ from .core import (
 from .kronops import (
     FactorizationError,
     KronSum,
+    StructuredCovariance,
     kron,
     nearest_kron_sum,
     posterior_covariance,
     spd_inverse,
+    structured_covariance,
     trace_contract_left,
     trace_contract_right,
     unvec,

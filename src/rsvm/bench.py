@@ -79,6 +79,13 @@ class ExperimentConfig:
         if not getattr(self, sweeps[0]):
             raise ConfigError("sweep list must be non-empty")
         self.sweep_axis = sweeps[0]
+        if "rsvm-symmetric" in self.algorithms:
+            for value in self.sweep_values():
+                p, q, _, _ = _point_params(self, value)
+                if p != q:
+                    raise ConfigError(
+                        f"rsvm-symmetric needs p == q, got {p}x{q} at "
+                        f"{self.sweep_axis}={value}")
 
     def sweep_values(self) -> list:
         return list(getattr(self, self.sweep_axis))
@@ -203,7 +210,7 @@ def _run_trial(cfg, sweep_idx, value, mat_idx, noise_idx):
                 wall_time_seconds=elapsed if cfg.record_timing else 0.0,
                 err_sq=err_sq, signal_sq=signal_sq))
         except (SolverDivergenceError, FactorizationError,
-                np.linalg.LinAlgError, FloatingPointError, ValueError):
+                np.linalg.LinAlgError, FloatingPointError):
             elapsed = time.perf_counter() - start
             rows.append(ResultRow(
                 scenario=cfg.scenario, algorithm=name, p=p, q=q, r=r, m=m,

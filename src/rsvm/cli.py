@@ -106,8 +106,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    cfg = ExperimentConfig(scenario="completion", m_fraction=[0.7],
-                           algorithms=(args.algorithm,))
+    cfg = ExperimentConfig(scenario="completion", p=inst.p, q=inst.q,
+                           m_fraction=[0.7], algorithms=(args.algorithm,))
     try:
         est = run_algorithm(args.algorithm, inst, cfg)
     except Exception as exc:  # solver failure -> exit 2

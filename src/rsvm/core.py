@@ -8,6 +8,16 @@ For fixed precisions the estimate is the regularized least-squares solve
 followed by closed-form updates of the left/right precision matrices, a
 rescaling step keeping the two precisions commensurate, and a gamma-prior
 update of the noise precision. Iterated to a relative-change tolerance.
+
+Sigma is never formed: :func:`map_estimate` returns it as a
+:class:`rsvm.kronops.StructuredCovariance`, diagonal in the eigenbasis of
+alpha_r kron alpha_l plus a Woodbury term over the k = min(m, pq - m)
+observed or missing entries (k = m for dense sensing). The precision and
+noise updates read its trace contractions and tr(A Sigma A^T) without
+densifying it. A dense ndarray Sigma (the accelerated solver's
+block-diagonal one) goes through :func:`rsvm.kronops.trace_contract_left`,
+:func:`rsvm.kronops.trace_contract_right` and the operator's
+``trace_quadratic`` instead.
 """
 
 from __future__ import annotations
@@ -17,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kronops import (
-    posterior_covariance,
+    StructuredCovariance,
     spd_inverse,
+    structured_covariance,
     symmetrize,
     trace_contract_left,
     trace_contract_right,
@@ -72,7 +83,7 @@ class PrecisionState:
 @dataclass
 class SolverState:
     x_hat: np.ndarray
-    sigma: np.ndarray | None
+    sigma: StructuredCovariance | np.ndarray | None
     precisions: PrecisionState
     iter: int = 0
     history: list = field(default_factory=list)
@@ -114,14 +125,17 @@ def init_state(inst: ProblemInstance, hyper: Hyperparameters) -> SolverState:
 
 
 def map_estimate(state: SolverState, inst: ProblemInstance,
-                 jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mode and covariance for the current precisions."""
+                 jitter: float = 0.0
+                 ) -> tuple[np.ndarray, StructuredCovariance]:
+    """Posterior mode and structured covariance for the current precisions.
+
+    ``jitter`` is added to the diagonal of the prior precision.
+    """
     prec = state.precisions
-    sigma = posterior_covariance(prec.alpha_l, prec.alpha_r, inst.operator,
-                                 prec.beta, jitter=jitter)
-    rhs = prec.beta * inst.operator.apply_adjoint(inst.y)
-    x_hat = unvec(sigma @ rhs, inst.p, inst.q)
-    return x_hat, sigma
+    sigma = structured_covariance(prec.alpha_l, prec.alpha_r, inst.operator,
+                                  prec.beta, jitter)
+    rhs = unvec(inst.operator.apply_adjoint(inst.y), inst.p, inst.q)
+    return prec.beta * sigma.apply(rhs), sigma
 
 
 def update_precisions(state: SolverState,
@@ -133,10 +147,13 @@ def update_precisions(state: SolverState,
     eps = hyper.epsilon_scale
     p, q = x.shape
 
-    sig_r = trace_contract_right(sigma, prec.alpha_r)
+    dense = isinstance(sigma, np.ndarray)
+    sig_r = trace_contract_right(sigma, prec.alpha_r) if dense \
+        else sigma.contract_right(prec.alpha_r)
     al = hyper.nu_eff * spd_inverse(
         sig_r + x @ prec.alpha_r @ x.T + eps * np.eye(p), hyper.jitter)
-    sig_l = trace_contract_left(sigma, al)
+    sig_l = trace_contract_left(sigma, al) if dense \
+        else sigma.contract_left(al)
     ar = hyper.nu_eff * spd_inverse(
         sig_l + x.T @ al @ x + eps * np.eye(q), hyper.jitter)
     return PrecisionState(symmetrize(al), symmetrize(ar), prec.beta)
@@ -144,12 +161,18 @@ def update_precisions(state: SolverState,
 
 def update_noise_precision(state: SolverState, inst: ProblemInstance,
                            hyper: Hyperparameters) -> float:
-    """Gamma-posterior mode for the noise precision."""
+    """Gamma-posterior mode for the noise precision.
+
+    Raises SolverDivergenceError when the denominator is not positive.
+    """
+    sigma = state.sigma
     resid = inst.y - inst.operator.apply(vec(state.x_hat))
-    denom = float(resid @ resid) + inst.operator.trace_quadratic(state.sigma) \
-        + 2.0 * hyper.d
-    if denom <= 0:
-        raise ValueError("noise precision denominator must be positive")
+    spread = inst.operator.trace_quadratic(sigma) \
+        if isinstance(sigma, np.ndarray) else sigma.trace_quadratic()
+    denom = float(resid @ resid) + spread + 2.0 * hyper.d
+    if not denom > 0:
+        raise SolverDivergenceError(
+            "noise precision denominator must be positive", state)
     return (inst.m + 2.0 * hyper.c) / denom
 
 

@@ -7,6 +7,23 @@ Conventions used throughout the package:
   symmetric L, R, which is the identity the solver updates rely on.
 * Covariances/precisions are kept symmetric explicitly; inversions go
   through Cholesky with an escalating jitter fallback.
+
+The full and symmetric solvers never form the pq x pq posterior covariance
+Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}. With
+alpha_l = U_l D_l U_l^T, alpha_r = U_r D_r U_r^T and E = U_r kron U_l,
+:func:`structured_covariance` keeps it as
+
+    Sigma = E [diag(lam) +/- W^T K W] E^T = E [diag(lam) +/- Z^T Z] E^T,
+
+a diagonal in the Kronecker eigenbasis plus a Woodbury correction over
+k index rows, each row W_t = lam * (U_l^T A_t U_r) a p x q matrix, and
+Z = C^{-1} W with C C^T = K^{-1}. For dense sensing the rows are the m
+measurements (sign -). For completion they are the m observed entries
+(sign -) or the pq - m missing ones (sign +), whichever is fewer. Every
+consumer (posterior mean, the two trace contractions, tr(A Sigma A^T))
+reads that form in O(k pq (p + q) + k^2 pq) time and O(k pq) memory.
+:func:`posterior_covariance` builds the dense matrix and is kept as the
+reference the structured form is tested against.
 """
 
 from __future__ import annotations
@@ -83,7 +100,7 @@ def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
 
 def _jitter_attempts(m: np.ndarray, jitter: float) -> list[float]:
     dim = m.shape[0]
-    floor = 1e-12 * abs(float(np.trace(m))) / dim
+    floor = 1e-12 * abs(float(np.trace(m))) / dim if dim else 0.0
     if floor <= 0.0:
         floor = 1e-12
     return [jitter] + [max(jitter, floor * 10.0**k) for k in range(3)]
@@ -113,12 +130,16 @@ def _spd_factor(m: np.ndarray, jitter: float = 0.0):
 def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Invert a symmetric positive definite matrix via Cholesky.
 
-    Uses the jitter schedule of :func:`_spd_factor`; raises
-    :class:`FactorizationError` when it is exhausted.
+    LAPACK dpotri on the factor of :func:`_spd_factor` (same jitter
+    schedule); raises :class:`FactorizationError` when it is exhausted.
     """
-    c = _spd_factor(m, jitter)
-    eye = np.eye(c[0].shape[0])
-    return symmetrize(scipy.linalg.cho_solve(c, eye, check_finite=False))
+    c, _ = _spd_factor(m, jitter)
+    inv, info = scipy.linalg.lapack.dpotri(c, lower=True, overwrite_c=True)
+    if info != 0:
+        raise FactorizationError(f"dpotri failed with info={info}")
+    # dpotri fills the lower triangle only; mirror it.
+    low = np.tril(inv)
+    return low + np.tril(low, -1).T
 
 
 def spd_solve(m: np.ndarray, rhs: np.ndarray, jitter: float = 0.0) -> np.ndarray:
@@ -185,6 +206,141 @@ def posterior_covariance(
         apa = dense @ pa
     cap = symmetrize(apa) + np.eye(m) / beta
     return symmetrize(p_inv - pa @ spd_solve(cap, pa.T, jitter))
+
+
+@dataclass
+class StructuredCovariance:
+    """Sigma = E [diag(lam) + sign Z^T Z] E^T with E = U_r kron U_l.
+
+    Built by :func:`structured_covariance`. Matrices live in the Kronecker
+    eigenbasis, where a p x q matrix Y reads U_l^T Y U_r. ``rows[:, t, :]``
+    is the t-th of the k rows of Z, a p x q matrix; the p x k x q layout
+    lets the mean and both contractions run as plain matrix products on
+    views. Nothing pq x pq is stored; :meth:`dense` (also ``np.asarray``)
+    materializes Sigma.
+    """
+
+    u_l: np.ndarray      # p x p eigenvectors of alpha_l
+    u_r: np.ndarray      # q x q eigenvectors of alpha_r
+    lam: np.ndarray      # p x q diagonal of the base term
+    rows: np.ndarray     # p x k x q rows of the low-rank term
+    sign: float          # -1 over observed rows, +1 over missing ones
+    quadratic: float     # tr(A Sigma A^T)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """unvec(Sigma vec(Y)) for a p x q matrix Y."""
+        yh = self.u_l.T @ np.asarray(y, dtype=float) @ self.u_r
+        coef = np.einsum("itj,ij->t", self.rows, yh)
+        z = self.lam * yh \
+            + self.sign * np.einsum("itj,t->ij", self.rows, coef)
+        return self.u_l @ z @ self.u_r.T
+
+    def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
+        """Same p x p result as ``trace_contract_right(dense(), alpha_r)``."""
+        p, k, q = self.rows.shape
+        a = self.u_r.T @ np.asarray(alpha_r, dtype=float) @ self.u_r
+        # sum_t Z_t a Z_t^T
+        za = (self.rows.reshape(p * k, q) @ a).reshape(p, k * q)
+        low = za @ self.rows.reshape(p, k * q).T
+        mid = np.diag(self.lam @ np.diag(a)) + self.sign * low
+        return self.u_l @ mid @ self.u_l.T
+
+    def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
+        """Same q x q result as ``trace_contract_left(dense(), alpha_l)``."""
+        p, k, q = self.rows.shape
+        a = self.u_l.T @ np.asarray(alpha_l, dtype=float) @ self.u_l
+        # sum_t Z_t^T a Z_t
+        az = (a @ self.rows.reshape(p, k * q)).reshape(p * k, q)
+        low = self.rows.reshape(p * k, q).T @ az
+        mid = np.diag(np.diag(a) @ self.lam) + self.sign * low
+        return self.u_r @ mid @ self.u_r.T
+
+    def trace_quadratic(self) -> float:
+        """tr(A Sigma A^T) for the operator Sigma was built from."""
+        return self.quadratic
+
+    def dense(self) -> np.ndarray:
+        """The pq x pq matrix (column-major vec convention)."""
+        p, k, q = self.rows.shape
+        e = np.kron(self.u_r, self.u_l)
+        z = self.rows.transpose(1, 2, 0).reshape(k, p * q)
+        mid = np.diag(vec(self.lam)) + self.sign * (z.T @ z)
+        return symmetrize(e @ mid @ e.T)
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def structured_covariance(
+    alpha_l: np.ndarray,
+    alpha_r: np.ndarray,
+    a,
+    beta: float,
+    jitter: float = 0.0,
+) -> StructuredCovariance:
+    """Posterior covariance ((alpha_r kron alpha_l) + jitter I + beta A^T A)^{-1}
+    in structured form (see the module docstring).
+
+    ``a`` may be a measurement operator or a dense m x pq array.
+    D = d_l d_r^T + jitter holds the prior precision's eigenvalues and the
+    atoms Ah_t = U_l^T A_t U_r the Woodbury index rows in the eigenbasis.
+
+    * Observed rows (the m measurements; unit matrices for completion):
+      lam = 1/D, K^{-1} = G + I/beta with G_ts = <Ah_t, lam * Ah_s>, sign -.
+    * Missing rows (completion with m > pq - m, the pq - m unobserved
+      entries): lam = 1/(D + beta), K^{-1} = <Ah_t, w * Ah_s> with
+      w = D lam / beta, which equals I/beta - <Ah_t, lam * Ah_s> without
+      the subtraction, sign +.
+
+    The Gram part is B B^T with B = sqrt(lam or w) * Ah. With C the
+    Cholesky factor of K^{-1} (the jitter schedule of :func:`spd_inverse`)
+    the rows are Z = C^{-1} (lam * Ah) = (C^{-1} B) * lam / sqrt(lam or w):
+    one triangular solve, no k x k inverse.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    d_l, u_l = np.linalg.eigh(symmetrize(np.asarray(alpha_l, dtype=float)))
+    d_r, u_r = np.linalg.eigh(symmetrize(np.asarray(alpha_r, dtype=float)))
+    p, q = d_l.size, d_r.size
+    prior = np.outer(d_l, d_r) + jitter
+    if not prior.min() > 0:
+        raise FactorizationError(
+            "prior precision alpha_r kron alpha_l + jitter I is not positive "
+            "definite")
+    idx, dense = _operator_parts(a)
+    observed = dense is not None or 2 * idx.size <= p * q
+    if dense is not None:
+        atoms = u_l.T @ dense.reshape(-1, q, p).transpose(0, 2, 1) @ u_r
+    else:
+        if not observed:
+            missing = np.ones(p * q, dtype=bool)
+            missing[idx] = False
+            idx = np.nonzero(missing)[0]
+        atoms = u_l[idx % p][:, :, None] * u_r[idx // p][:, None, :]
+    k = atoms.shape[0]
+
+    lam = 1.0 / prior if observed else 1.0 / (prior + beta)
+    root = np.sqrt(lam if observed else prior * lam / beta)
+    b = (atoms * root).reshape(k, p * q)
+    kinv = b @ b.T
+    if observed:
+        kinv[np.diag_indices(k)] += 1.0 / beta
+    c, _ = _spd_factor(kinv)
+    # C^{-1} B as the right-sided solve Y^T C^T = B^T on the Fortran-ordered
+    # view B^T, which leaves Y C-ordered.
+    y = scipy.linalg.blas.dtrsm(1.0, c, b.T, side=1, lower=1, trans_a=1,
+                                overwrite_b=1).T.reshape(k, p, q)
+    if observed:
+        # tr(A Sigma A^T) = tr(G K) / beta = ||C^{-1} B||^2 / beta, B B^T = G
+        quadratic = float(np.vdot(y, y)) / beta
+    else:
+        # tr Sigma minus the missing entries' variances
+        quadratic = float(lam.sum()) \
+            - float(np.vdot(np.einsum("tij,tij->ij", y, y), lam))
+    rows = np.ascontiguousarray((y * (lam / root)).transpose(1, 0, 2))
+    return StructuredCovariance(u_l, u_r, lam, rows,
+                                -1.0 if observed else 1.0, quadratic)
 
 
 @dataclass

@@ -4,9 +4,10 @@ The left and right singular vectors of a symmetric matrix coincide up to
 sign, so one precision matrix serves both sides. The solver runs the full
 solver's loop (:func:`rsvm.core.iterate`) with that precision as both the
 left and the right one. The exact precision update (the default) contracts
-the posterior covariance against alpha directly. The approximate update,
-chosen by s_terms < p^2, keeps that many terms of a Kronecker-sum expansion
-of the covariance (rearrangement + SVD).
+the structured posterior covariance (:class:`rsvm.kronops.StructuredCovariance`)
+against alpha on both sides, without forming the p^2 x p^2 matrix. The
+approximate update, chosen by s_terms < p^2, densifies the covariance and
+keeps that many terms of its Kronecker-sum expansion (rearrangement + SVD).
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .kronops import (
     nearest_kron_sum,
     spd_inverse,
     symmetrize,
-    trace_contract_left,
-    trace_contract_right,
 )
 from .sensing import ProblemInstance
 
@@ -94,8 +93,9 @@ def solve_symmetric(inst: ProblemInstance,
     balancing reduces to alpha -> alpha tr(alpha^-1) / ||X||_F. The
     estimate is projected onto symmetric matrices each iteration (Frobenius
     projection (X + X^T)/2). s_terms defaults to p^2, the exact update,
-    which contracts the covariance against alpha directly; s_terms < p^2
-    goes through the truncated Kronecker-sum expansion.
+    which contracts the structured covariance against alpha directly;
+    s_terms < p^2 goes through the truncated Kronecker-sum expansion of the
+    dense covariance.
     """
     hyper = hyper or Hyperparameters()
     p, q = inst.p, inst.q
@@ -112,13 +112,13 @@ def solve_symmetric(inst: ProblemInstance,
     def precisions(state):
         prec = state.precisions
         if s < p * p:
-            ks = nearest_kron_sum(state.sigma, p, s)
+            ks = nearest_kron_sum(state.sigma.dense(), p, s)
             alpha = update_precision_symmetric(
                 SymmetricState(state.x_hat, prec.alpha_l, prec.beta, ks, s),
                 hyper)
         else:
-            pair = trace_contract_right(state.sigma, prec.alpha_l) \
-                + trace_contract_left(state.sigma, prec.alpha_l)
+            pair = state.sigma.contract_right(prec.alpha_l) \
+                + state.sigma.contract_left(prec.alpha_l)
             alpha = _alpha_update(state.x_hat, prec.alpha_l, pair, hyper)
         return PrecisionState(alpha, alpha, prec.beta)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rsvm import bench
 from rsvm.bench import (
     AggregateRow,
     ConfigError,
@@ -17,7 +18,7 @@ from rsvm.bench import (
     write_csv,
 )
 from rsvm.cli import main
-from rsvm.core import Hyperparameters
+from rsvm.core import Hyperparameters, SolverDivergenceError
 
 
 def tiny_config(**overrides):
@@ -163,6 +164,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(seed=-1)
 
+    def test_symmetric_solver_needs_square_points(self):
+        with pytest.raises(ConfigError):
+            tiny_config(algorithms=("rsvm", "rsvm-symmetric"))
+        with pytest.raises(ConfigError):
+            tiny_config(p=[6, 7], q=6, m_fraction=0.6,
+                        algorithms=("rsvm-symmetric",))
+        tiny_config(p=6, q=6, algorithms=("rsvm-symmetric",))
+
 
 class TestRunExperiment:
     def test_grid_shape(self):
@@ -207,9 +216,13 @@ class TestRunExperiment:
         assert rows[0].failed == 0
         assert rows[0].nmse_linear < 1.0
 
-    def test_solver_abort_recorded_as_failure_row(self):
-        # symmetric solver on a non-square grid aborts; the run continues
-        cfg = tiny_config(algorithms=("rsvm", "rsvm-symmetric"),
+    def test_solver_abort_recorded_as_failure_row(self, monkeypatch):
+        # the symmetric solver diverges; the run continues
+        def diverge(inst, hyper=None):
+            raise SolverDivergenceError("non-finite estimate at iteration 1")
+
+        monkeypatch.setattr(bench.symmetric, "solve_symmetric", diverge)
+        cfg = tiny_config(p=6, q=6, algorithms=("rsvm", "rsvm-symmetric"),
                           n_matrices=1, n_measurements=1)
         rows = run_experiment(cfg)
         by_alg = {r.algorithm: r for r in rows}
@@ -285,11 +298,15 @@ class TestCli:
         assert main(["sweep", "--nonexistent-flag", "x"]) == 1
         capsys.readouterr()
 
-    def test_failure_rows_exit_code(self, tmp_path, capsys):
+    def test_failure_rows_exit_code(self, tmp_path, capsys, monkeypatch):
+        def diverge(name, inst, cfg):
+            raise SolverDivergenceError("non-finite estimate at iteration 1")
+
+        monkeypatch.setattr(bench, "run_algorithm", diverge)
         config = {
             "scenario": "completion", "p": 6, "q": 8, "r": 1,
             "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
-            "algorithms": ["rsvm-symmetric"], "seed": 1,
+            "algorithms": ["rsvm"], "seed": 1,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -297,3 +314,18 @@ class TestCli:
                      "--out", str(tmp_path / "rows.csv")])
         assert code == 2
         capsys.readouterr()
+
+    def test_non_square_symmetric_config_exit_code(self, tmp_path, capsys):
+        config = {
+            "scenario": "completion", "p": 6, "q": 8, "r": 1,
+            "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
+            "algorithms": ["rsvm-symmetric"], "seed": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rows_path = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--out", str(rows_path)])
+        assert code == 1
+        assert not rows_path.exists()
+        assert "p == q" in capsys.readouterr().err

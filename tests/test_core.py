@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from rsvm.core import (
     Hyperparameters,
     PrecisionState,
+    SolverDivergenceError,
     SolverState,
     balance_precisions,
     effective_rank,
@@ -187,6 +189,14 @@ class TestUpdateNoisePrecision:
         expected = (inst.m + 2 * hyper.c) / (
             resid @ resid + np.trace(a @ sigma @ a.T) + 2 * hyper.d)
         assert abs(beta - expected) <= 1e-10 * expected
+
+    def test_non_positive_denominator_is_divergence(self):
+        # a covariance with negative trace is a numerical failure
+        inst = small_instance(14)
+        state = SolverState(np.zeros((3, 3)), -1e6 * np.eye(9),
+                            PrecisionState(np.eye(3), np.eye(3), 1.0))
+        with pytest.raises(SolverDivergenceError):
+            update_noise_precision(state, inst, Hyperparameters())
 
 
 class TestBalancePrecisions:

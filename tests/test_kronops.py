@@ -171,6 +171,16 @@ class TestSpdInverse:
         out = spd_inverse(m)
         assert np.abs(out - out.T).max() <= 1e-12 * np.abs(out).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_numpy_inverse(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            m = random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+            ref = np.linalg.inv(m)
+            out = spd_inverse(m)
+            np.testing.assert_array_equal(out, out.T)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestPosteriorCovariance:
     def test_identity_case(self):

@@ -1,0 +1,161 @@
+"""The structured posterior covariance against its dense references.
+
+``posterior_covariance(method="direct")`` and ``dense_map_solve`` build and
+solve the pq x pq system; the structured form must reproduce them, and the
+solvers must never allocate a pq x pq array on their default path.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rsvm.core import (
+    Hyperparameters,
+    PrecisionState,
+    SolverState,
+    map_estimate,
+    solve,
+    update_noise_precision,
+    update_precisions,
+)
+from rsvm.kronops import (
+    StructuredCovariance,
+    posterior_covariance,
+    structured_covariance,
+    trace_contract_left,
+    trace_contract_right,
+    vec,
+)
+from rsvm.sensing import completion_operator, gaussian_operator, measure
+from rsvm.symmetric import solve_symmetric
+
+from naive_oracles import dense_map_solve, random_spd
+
+RTOL = 1e-9
+
+
+def spread_spd(rng, n, log_spread):
+    """SPD matrix, eigenvalues from 1 to 10**log_spread, random eigenbasis."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = 10.0 ** rng.uniform(0.0, log_spread, n)
+    vals[0] = 1.0
+    vals[-1] = 10.0 ** log_spread
+    mat = (basis * vals) @ basis.T
+    return 0.5 * (mat + mat.T)
+
+
+def assert_close(got, ref):
+    """Max-norm error at most RTOL of the reference's largest entry."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    err = float(np.abs(got - ref).max())
+    assert err <= RTOL * float(np.abs(ref).max()), err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 6), q=st.integers(1, 6),
+       kind=st.sampled_from(["completion", "gaussian"]),
+       m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       log_spread=st.floats(0.0, 6.0), share=st.floats(0.0, 1.0),
+       log_beta=st.floats(-2.0, 2.0), log_jitter=st.floats(-8.0, 0.0))
+@example(p=4, q=5, kind="completion", m_frac=0.0, seed=1, log_spread=6.0,
+         share=0.5, log_beta=0.0, log_jitter=-8.0)  # m = 1
+@example(p=4, q=5, kind="completion", m_frac=1.0, seed=2, log_spread=6.0,
+         share=0.5, log_beta=0.0, log_jitter=-8.0)  # m = pq, no Woodbury rows
+def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
+                                  log_beta, log_jitter):
+    # Observed-side and missing-side completion, and Gaussian sensing. The
+    # prior precision alpha_r kron alpha_l has eigenvalue spread up to 1e6,
+    # split between the two factors by ``share``.
+    m = 1 + int(round(m_frac * (p * q - 1)))
+    rng = np.random.default_rng(seed)
+    if kind == "completion":
+        op = completion_operator(p, q, m, seed)
+        k = min(m, p * q - m)
+    else:
+        op = gaussian_operator(p, q, m, seed)
+        k = m
+    al = spread_spd(rng, p, share * log_spread)
+    ar = spread_spd(rng, q, (1.0 - share) * log_spread)
+    beta, jitter = 10.0 ** log_beta, 10.0 ** log_jitter
+
+    sigma = structured_covariance(al, ar, op, beta, jitter)
+    ref = posterior_covariance(al, ar, op, beta, method="direct",
+                               jitter=jitter)
+    assert sigma.rows.shape == (p, k, q)
+    assert_close(sigma.dense(), ref)
+    assert_close(sigma.contract_right(ar), trace_contract_right(ref, ar))
+    new_l = random_spd(rng, p)  # update_precisions contracts a new alpha_l
+    assert_close(sigma.contract_left(new_l), trace_contract_left(ref, new_l))
+    assert_close(sigma.trace_quadratic(), op.trace_quadratic(ref))
+    y = rng.standard_normal(m)
+    x_hat = beta * sigma.apply(op.adjoint(y))
+    assert_close(vec(x_hat),
+                 dense_map_solve(al, ar, op.dense(), y, beta, jitter))
+
+
+class TestStructuredCovariance:
+    def test_identity_prior_fully_observed(self):
+        op = completion_operator(2, 3, 6, 0)
+        sigma = structured_covariance(np.eye(2), np.eye(3), op, 1.0)
+        assert sigma.rows.shape[1] == 0
+        np.testing.assert_allclose(np.asarray(sigma), 0.5 * np.eye(6),
+                                   atol=1e-15)
+        assert abs(sigma.trace_quadratic() - 3.0) <= 1e-15
+
+    def test_indefinite_prior_rejected(self):
+        op = completion_operator(2, 2, 2, 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            structured_covariance(np.diag([1.0, -1.0]), np.eye(2), op, 1.0)
+
+    def test_beta_must_be_positive(self):
+        op = completion_operator(2, 2, 2, 0)
+        with pytest.raises(ValueError):
+            structured_covariance(np.eye(2), np.eye(2), op, 0.0)
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_precision_update_matches_dense_sigma(self, m):
+        # core reads the structured form and a dense ndarray alike
+        rng = np.random.default_rng(m)
+        op = completion_operator(3, 4, m, m)
+        inst = measure(op, rng.standard_normal((3, 4)), 0.1, m)
+        prec = PrecisionState(random_spd(rng, 3), random_spd(rng, 4), 1.3)
+        state = SolverState(rng.standard_normal((3, 4)), None, prec)
+        _, sigma = map_estimate(state, inst)
+        assert isinstance(sigma, StructuredCovariance)
+        dense = SolverState(state.x_hat, sigma.dense(), prec)
+        state.sigma = sigma
+        hyper = Hyperparameters()
+        got, ref = update_precisions(state, hyper), update_precisions(dense,
+                                                                      hyper)
+        np.testing.assert_allclose(got.alpha_l, ref.alpha_l, rtol=1e-10)
+        np.testing.assert_allclose(got.alpha_r, ref.alpha_r, rtol=1e-10)
+        assert abs(update_noise_precision(state, inst, hyper)
+                   - update_noise_precision(dense, inst, hyper)) \
+            <= 1e-12 * update_noise_precision(dense, inst, hyper)
+
+
+@pytest.mark.parametrize("m_frac", [0.1, 0.9])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["rsvm", "symmetric"])
+def test_solvers_allocate_nothing_pq_by_pq(m_frac, symmetric):
+    # 30 x 30 with k = 90 Woodbury rows: the k x pq arrays take a tenth of
+    # one pq x pq array, so a dense covariance anywhere would show.
+    p = q = 30
+    rng = np.random.default_rng(3)
+    left = rng.standard_normal((p, 2))
+    op = completion_operator(p, q, int(m_frac * p * q), 4)
+    inst = measure(op, left @ left.T, 0.1, 5)
+    hyper = Hyperparameters(max_iter=2)
+    tracemalloc.start()
+    try:
+        if symmetric:
+            solve_symmetric(inst, hyper)
+        else:
+            solve(inst, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (p * q) ** 2 * 8
