@@ -33,6 +33,7 @@ from .core import (
     update_precisions,
 )
 from .kronops import (
+    BlockCovariance,
     FactorizationError,
     KronSum,
     StructuredCovariance,
@@ -66,6 +67,6 @@ from .sensing import (
     noise_sigma_for_snr,
     save_instance,
 )
-from .symmetric import SymmetricState, solve_symmetric, update_precision_symmetric
+from .symmetric import solve_symmetric
 
 __all__ = [name for name in dir() if not name.startswith("_")]

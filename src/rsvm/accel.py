@@ -1,113 +1,123 @@
 """Accelerated solver: block descent with a block-diagonal covariance.
 
-The expensive pq x pq posterior solve is replaced by cyclic exact
-minimization over index blocks of vec(X); the posterior covariance is
-approximated as block diagonal (cross-block correlations treated as zero),
-which keeps every inverse at block size. Only the posterior step is its
-own: the outer loop with its precision, balancing and noise updates is
-the full solver's (:func:`rsvm.core.iterate`), run on the scattered
-block-diagonal covariance.
+The exact posterior solve is replaced by cyclic exact minimization over
+groups of whole columns of X; the posterior covariance is approximated as
+block diagonal over those groups (cross-block correlations treated as
+zero). The prior restricted to a column block b is alpha_r[b, b] kron
+alpha_l, again Kronecker, so each block's local posterior is a
+:func:`rsvm.kronops.structured_covariance` and the approximation is a
+:class:`rsvm.kronops.BlockCovariance`: nothing larger than one block's
+Woodbury rows is formed. Only the posterior step is its own: the outer
+loop with its precision, balancing and noise updates is the full solver's
+(:func:`rsvm.core.iterate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     Estimate,
     Hyperparameters,
+    PrecisionState,
     SolverState,
     iterate,
     update_precisions,
 )
-from .kronops import spd_inverse, unvec, vec
-from .sensing import ProblemInstance
+from .kronops import (
+    BlockCovariance,
+    StructuredCovariance,
+    structured_covariance,
+    vec,
+)
+from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
 
 
 @dataclass
 class BlockPartition:
-    """Disjoint flat (column-major vec) index blocks covering [0, p*q)."""
+    """Disjoint groups of whole columns covering the p x q index grid.
 
-    blocks: list[np.ndarray]
-    strategy: str
+    ``blocks[b]`` holds the flat (column-major vec) indices of the columns
+    ``columns[b]``.
+    """
+
+    p: int
+    columns: list[np.ndarray]
+    blocks: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        self.blocks = [(np.asarray(c, dtype=np.intp)[:, None] * self.p
+                        + np.arange(self.p)).ravel() for c in self.columns]
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
-
-
-def _column_groups(n: int, k: int) -> list[np.ndarray]:
-    return np.array_split(np.arange(n), k)
+        return len(self.columns)
 
 
 def partition_blocks(p: int, q: int, strategy: str = "columns",
-                     n_blocks=4) -> BlockPartition:
-    """Partition the p x q index grid into near-equal blocks.
+                     n_blocks: int = 4) -> BlockPartition:
+    """Split the q columns into n_blocks contiguous near-equal groups.
 
-    strategy "columns"/"rows" takes an integer block count; "grid" takes a
-    (s, t) pair splitting rows into s and columns into t groups. Group
-    sizes differ by at most one.
+    Group sizes differ by at most one. "columns" is the only strategy:
+    column groups keep each block's prior Kronecker-structured.
     """
-    if strategy == "columns":
-        k = int(n_blocks)
-        if not 1 <= k <= q:
-            raise ValueError(f"need 1 <= n_blocks <= {q}")
-        blocks = [np.concatenate([np.arange(j * p, (j + 1) * p) for j in grp])
-                  for grp in _column_groups(q, k)]
-    elif strategy == "rows":
-        k = int(n_blocks)
-        if not 1 <= k <= p:
-            raise ValueError(f"need 1 <= n_blocks <= {p}")
-        cols = np.arange(q) * p
-        blocks = [np.sort(np.add.outer(cols, grp).ravel())
-                  for grp in _column_groups(p, k)]
-    elif strategy == "grid":
-        s, t = n_blocks
-        if not (1 <= s <= p and 1 <= t <= q):
-            raise ValueError(f"need 1 <= s <= {p} and 1 <= t <= {q}")
-        row_groups = _column_groups(p, s)
-        col_groups = _column_groups(q, t)
-        blocks = []
-        for rows in row_groups:
-            for cols in col_groups:
-                blocks.append(np.sort(
-                    (np.asarray(cols)[:, None] * p + np.asarray(rows)[None, :])
-                    .ravel()))
-    else:
+    if strategy != "columns":
         raise ValueError(f"unknown strategy {strategy!r}")
-    return BlockPartition([np.asarray(b, dtype=np.intp) for b in blocks],
-                          strategy)
+    k = int(n_blocks)
+    if not 1 <= k <= q:
+        raise ValueError(f"need 1 <= n_blocks <= {q}")
+    return BlockPartition(p, np.array_split(np.arange(q), k))
 
 
-def _block_rhs(prior, a_dense, y, beta, x_flat, idx):
-    """Right-hand side of the normal equations of one block, the rest fixed."""
-    mask = np.ones(x_flat.size, dtype=bool)
-    mask[idx] = False
-    idx_c = np.nonzero(mask)[0]
-    resid = y - a_dense[:, idx_c] @ x_flat[idx_c]
-    return beta * (a_dense[:, idx].T @ resid) \
-        - prior[np.ix_(idx, idx_c)] @ x_flat[idx_c]
+def _block_operator(op: MeasurementOperator, flat: np.ndarray):
+    """A stand-in for A_b, the columns ``flat`` of A, with the same Gram
+    matrix A_b^T A_b: the observed positions within the block for
+    completion (possibly none), the R factor of A_b = Q R for dense sensing
+    (min(m, len(flat)) rows)."""
+    if op.kind == COMPLETION:
+        local = np.full(op.p * op.q, -1)
+        local[flat] = np.arange(flat.size)
+        pos = local[op.vec_indices]
+        return pos[pos >= 0]
+    return np.linalg.qr(op.matrix[:, flat], mode="r")
+
+
+def _block_covariance(prec: PrecisionState, cols: np.ndarray, op,
+                      jitter: float) -> StructuredCovariance:
+    """Local posterior covariance of the columns ``cols``, the rest fixed."""
+    return structured_covariance(prec.alpha_l,
+                                 prec.alpha_r[np.ix_(cols, cols)], op,
+                                 prec.beta, jitter)
+
+
+def _block_rhs(inst: ProblemInstance, x: np.ndarray, prec: PrecisionState,
+               cols: np.ndarray) -> np.ndarray:
+    """Right-hand side of one block's normal equations, the rest fixed:
+    (beta A^T (y - A vec X0) - alpha_l X0 alpha_r)[:, cols], X0 = X with
+    the block's columns zeroed."""
+    x0 = x.copy()
+    x0[:, cols] = 0.0
+    resid = inst.y - inst.operator.forward(x0)
+    return prec.beta * inst.operator.adjoint(resid)[:, cols] \
+        - prec.alpha_l @ (x0 @ prec.alpha_r[:, cols])
 
 
 def block_map_update(state: SolverState, inst: ProblemInstance,
-                     part: BlockPartition, i: int,
-                     jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                     part: BlockPartition, i: int, jitter: float = 0.0
+                     ) -> tuple[np.ndarray, StructuredCovariance]:
     """One conditional block update given the rest of the current estimate.
 
-    Returns the block estimate and its local posterior covariance. With a
-    single all-index block this reduces to the full posterior mode.
+    Returns the block estimate (vec of its p x w columns) and its local
+    posterior covariance. With a single all-column block this reduces to
+    the full posterior mode.
     """
     prec = state.precisions
-    prior = np.kron(prec.alpha_r, prec.alpha_l)
-    a_dense = inst.operator.dense()
-    idx = part.blocks[i]
-    a_b = a_dense[:, idx]
-    sigma_b = spd_inverse(prior[np.ix_(idx, idx)] + prec.beta * (a_b.T @ a_b),
-                          jitter)
-    rhs = _block_rhs(prior, a_dense, inst.y, prec.beta, vec(state.x_hat), idx)
-    return sigma_b @ rhs, sigma_b
+    cols = part.columns[i]
+    sigma = _block_covariance(
+        prec, cols, _block_operator(inst.operator, part.blocks[i]), jitter)
+    return vec(sigma.apply(_block_rhs(inst, state.x_hat, prec, cols))), sigma
 
 
 DEFAULT_MAX_ITER = 30
@@ -122,9 +132,9 @@ def solve_accelerated(inst: ProblemInstance,
 
     Posterior step: k_sweeps cyclic passes of exact block minimization
     (ascending block order), warm-started from the previous outer
-    iteration, and the block-diagonal covariance scattered into the full
-    pq x pq pattern. Precision step: the full-solver update on that
-    covariance. See :func:`rsvm.core.iterate` for the loop.
+    iteration, and the block-diagonal covariance. Precision step: the
+    full-solver update on that covariance. See :func:`rsvm.core.iterate`
+    for the loop.
 
     The block-diagonal approximation slows per-outer-iteration progress,
     so the default horizon is longer than the full solver's.
@@ -134,27 +144,20 @@ def solve_accelerated(inst: ProblemInstance,
     part = part or partition_blocks(p, q, "columns", min(4, q))
     if k_sweeps < 1:
         raise ValueError("k_sweeps must be >= 1")
-    a_dense = inst.operator.dense()
-    grams = [a_dense[:, idx].T @ a_dense[:, idx] for idx in part.blocks]
-    x_flat = np.zeros(p * q)
+    ops = [_block_operator(inst.operator, flat) for flat in part.blocks]
+    x = np.zeros((p, q))
 
     def posterior(state):
         prec = state.precisions
-        prior = np.kron(prec.alpha_r, prec.alpha_l)
-        # Local covariances depend only on the precisions: one inverse
-        # per block per outer iteration, shared across sweeps.
-        sigmas = [spd_inverse(prior[np.ix_(idx, idx)] + prec.beta * g,
-                              hyper.jitter)
-                  for idx, g in zip(part.blocks, grams)]
+        # Local covariances depend only on the precisions: one per block
+        # per outer iteration, shared across sweeps.
+        sigmas = [_block_covariance(prec, cols, op, hyper.jitter)
+                  for cols, op in zip(part.columns, ops)]
         for _ in range(k_sweeps):
-            for idx, sig in zip(part.blocks, sigmas):
-                x_flat[idx] = sig @ _block_rhs(prior, a_dense, inst.y,
-                                               prec.beta, x_flat, idx)
-        sigma = np.zeros((p * q, p * q))
-        for idx, sig in zip(part.blocks, sigmas):
-            sigma[np.ix_(idx, idx)] = sig
-        # x_flat is mutated across iterations: return a copy
-        return unvec(x_flat.copy(), p, q), sigma
+            for cols, sigma in zip(part.columns, sigmas):
+                x[:, cols] = sigma.apply(_block_rhs(inst, x, prec, cols))
+        # x is mutated across iterations: return a copy
+        return x.copy(), BlockCovariance(part.columns, sigmas)
 
     return iterate(inst, hyper, posterior,
                    lambda state: update_precisions(state, hyper),

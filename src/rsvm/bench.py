@@ -32,6 +32,9 @@ from .sensing import (
 
 ALGORITHMS = ("rsvm", "rsvm-accel", "rsvm-symmetric", "nuclear")
 SWEEPABLE = ("p", "q", "r", "m_fraction")
+# Numerical solver failures (failed rows, exit code 2); all else propagates.
+SOLVER_FAILURES = (SolverDivergenceError, FactorizationError,
+                   np.linalg.LinAlgError, FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -209,8 +212,7 @@ def _run_trial(cfg, sweep_idx, value, mat_idx, noise_idx):
                 iterations=est.iterations,
                 wall_time_seconds=elapsed if cfg.record_timing else 0.0,
                 err_sq=err_sq, signal_sq=signal_sq))
-        except (SolverDivergenceError, FactorizationError,
-                np.linalg.LinAlgError, FloatingPointError):
+        except SOLVER_FAILURES:
             elapsed = time.perf_counter() - start
             rows.append(ResultRow(
                 scenario=cfg.scenario, algorithm=name, p=p, q=q, r=r, m=m,

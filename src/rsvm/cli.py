@@ -14,9 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
+    SOLVER_FAILURES,
     ConfigError,
     ExperimentConfig,
     aggregate,
@@ -110,7 +109,7 @@ def _cmd_solve(args) -> int:
                            m_fraction=[0.7], algorithms=(args.algorithm,))
     try:
         est = run_algorithm(args.algorithm, inst, cfg)
-    except Exception as exc:  # solver failure -> exit 2
+    except SOLVER_FAILURES as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 2
     result = {
@@ -191,7 +190,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    np.seterr(all="ignore")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

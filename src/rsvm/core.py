@@ -13,26 +13,25 @@ Sigma is never formed: :func:`map_estimate` returns it as a
 :class:`rsvm.kronops.StructuredCovariance`, diagonal in the eigenbasis of
 alpha_r kron alpha_l plus a Woodbury term over the k = min(m, pq - m)
 observed or missing entries (k = m for dense sensing). The precision and
-noise updates read its trace contractions and tr(A Sigma A^T) without
-densifying it. A dense ndarray Sigma (the accelerated solver's
-block-diagonal one) goes through :func:`rsvm.kronops.trace_contract_left`,
-:func:`rsvm.kronops.trace_contract_right` and the operator's
-``trace_quadratic`` instead.
+noise updates read any covariance through three methods,
+``contract_right``, ``contract_left`` and ``trace_quadratic``; the
+accelerated solver's block-diagonal :class:`rsvm.kronops.BlockCovariance`
+offers the same three.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kronops import (
+    BlockCovariance,
     StructuredCovariance,
     spd_inverse,
     structured_covariance,
     symmetrize,
-    trace_contract_left,
-    trace_contract_right,
     unvec,
     vec,
 )
@@ -83,7 +82,7 @@ class PrecisionState:
 @dataclass
 class SolverState:
     x_hat: np.ndarray
-    sigma: StructuredCovariance | np.ndarray | None
+    sigma: StructuredCovariance | BlockCovariance | None
     precisions: PrecisionState
     iter: int = 0
     history: list = field(default_factory=list)
@@ -147,15 +146,12 @@ def update_precisions(state: SolverState,
     eps = hyper.epsilon_scale
     p, q = x.shape
 
-    dense = isinstance(sigma, np.ndarray)
-    sig_r = trace_contract_right(sigma, prec.alpha_r) if dense \
-        else sigma.contract_right(prec.alpha_r)
     al = hyper.nu_eff * spd_inverse(
-        sig_r + x @ prec.alpha_r @ x.T + eps * np.eye(p), hyper.jitter)
-    sig_l = trace_contract_left(sigma, al) if dense \
-        else sigma.contract_left(al)
+        sigma.contract_right(prec.alpha_r) + x @ prec.alpha_r @ x.T
+        + eps * np.eye(p), hyper.jitter)
     ar = hyper.nu_eff * spd_inverse(
-        sig_l + x.T @ al @ x + eps * np.eye(q), hyper.jitter)
+        sigma.contract_left(al) + x.T @ al @ x + eps * np.eye(q),
+        hyper.jitter)
     return PrecisionState(symmetrize(al), symmetrize(ar), prec.beta)
 
 
@@ -165,11 +161,9 @@ def update_noise_precision(state: SolverState, inst: ProblemInstance,
 
     Raises SolverDivergenceError when the denominator is not positive.
     """
-    sigma = state.sigma
     resid = inst.y - inst.operator.apply(vec(state.x_hat))
-    spread = inst.operator.trace_quadratic(sigma) \
-        if isinstance(sigma, np.ndarray) else sigma.trace_quadratic()
-    denom = float(resid @ resid) + spread + 2.0 * hyper.d
+    denom = float(resid @ resid) + state.sigma.trace_quadratic() \
+        + 2.0 * hyper.d
     if not denom > 0:
         raise SolverDivergenceError(
             "noise precision denominator must be positive", state)
@@ -206,6 +200,13 @@ def neg_log_joint(state: SolverState, inst: ProblemInstance,
     return 0.5 * prec.beta * float(resid @ resid) + 0.5 * prior
 
 
+def _require_finite(state: SolverState, it: int, what: str,
+                    finite: bool) -> None:
+    if not finite:
+        raise SolverDivergenceError(f"non-finite {what} at iteration {it}",
+                                    state)
+
+
 def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
             precisions, trace_path=None, extra=()) -> Estimate:
     """The iteration shared by the Bayesian solvers.
@@ -216,8 +217,8 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
     at hyper.max_iter. ``extra`` holds (column, value) pairs appended to
     every trace row.
 
-    Raises SolverDivergenceError (with the offending state attached) if
-    non-finite values appear.
+    Raises SolverDivergenceError (with the offending state attached) if the
+    estimate, a precision or the noise precision turns non-finite.
     """
     state = init_state(inst, hyper)
     x_prev = state.x_hat
@@ -229,16 +230,20 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
     try:
         for it in range(1, hyper.max_iter + 1):
             x, sigma = posterior(state)
-            if not np.all(np.isfinite(x)):
-                raise SolverDivergenceError(
-                    f"non-finite estimate at iteration {it}", state)
+            _require_finite(state, it, "estimate", np.isfinite(x).all())
             state.x_hat, state.sigma = x, sigma
             rel = float(np.linalg.norm(x - x_prev, "fro")
                         / max(np.linalg.norm(x_prev, "fro"), 1e-12))
 
             state.precisions = precisions(state)
+            prec = state.precisions
+            _require_finite(state, it, "precisions",
+                            np.isfinite(prec.alpha_l).all()
+                            and np.isfinite(prec.alpha_r).all())
             state.precisions = balance_precisions(state.precisions, x)
             state.precisions.beta = update_noise_precision(state, inst, hyper)
+            _require_finite(state, it, "noise precision",
+                            math.isfinite(state.precisions.beta))
             state.iter = it
 
             obj = neg_log_joint(state, inst, hyper)

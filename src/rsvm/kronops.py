@@ -8,7 +8,7 @@ Conventions used throughout the package:
 * Covariances/precisions are kept symmetric explicitly; inversions go
   through Cholesky with an escalating jitter fallback.
 
-The full and symmetric solvers never form the pq x pq posterior covariance
+No solver forms the pq x pq posterior covariance
 Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}. With
 alpha_l = U_l D_l U_l^T, alpha_r = U_r D_r U_r^T and E = U_r kron U_l,
 :func:`structured_covariance` keeps it as
@@ -22,8 +22,12 @@ measurements (sign -). For completion they are the m observed entries
 (sign -) or the pq - m missing ones (sign +), whichever is fewer. Every
 consumer (posterior mean, the two trace contractions, tr(A Sigma A^T))
 reads that form in O(k pq (p + q) + k^2 pq) time and O(k pq) memory.
-:func:`posterior_covariance` builds the dense matrix and is kept as the
-reference the structured form is tested against.
+:class:`BlockCovariance` holds one structured form per column block (the
+prior restricted to column block b is alpha_r[b, b] kron alpha_l). Both
+offer the three reads the solvers make: ``contract_right``,
+``contract_left`` and ``trace_quadratic``. The dense functions
+(:func:`posterior_covariance`, ``trace_contract_*``,
+:func:`nearest_kron_sum`) are test references; no solver calls them.
 """
 
 from __future__ import annotations
@@ -149,13 +153,16 @@ def spd_solve(m: np.ndarray, rhs: np.ndarray, jitter: float = 0.0) -> np.ndarray
 
 
 def _operator_parts(a):
-    """Accept a measurement operator or a dense m x pq array.
+    """Accept a measurement operator, a dense m x pq array, or a 1-d
+    integer array of observed column-major vec indices (a completion mask).
 
     Returns (vec_indices, dense): exactly one is not None. Completion
     operators are recognized structurally so this module stays free of a
     dependency on the sensing module.
     """
     if isinstance(a, np.ndarray):
+        if a.ndim == 1 and np.issubdtype(a.dtype, np.integer):
+            return a, None
         return None, np.asarray(a, dtype=float)
     idx = getattr(a, "vec_indices", None)
     if idx is not None:
@@ -173,9 +180,10 @@ def posterior_covariance(
 ) -> np.ndarray:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1}.
 
-    ``a`` may be a measurement operator or a dense m x pq array. With
-    ``method="auto"`` the Woodbury form (an m x m inverse) is used when
-    m < pq/2, the direct pq x pq inverse otherwise; both paths agree.
+    ``a`` may be a measurement operator, a dense m x pq array or a 1-d
+    integer array of observed vec indices. With ``method="auto"`` the
+    Woodbury form (an m x m inverse) is used when m < pq/2, the direct
+    pq x pq inverse otherwise; both paths agree.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -282,7 +290,8 @@ def structured_covariance(
     """Posterior covariance ((alpha_r kron alpha_l) + jitter I + beta A^T A)^{-1}
     in structured form (see the module docstring).
 
-    ``a`` may be a measurement operator or a dense m x pq array.
+    ``a`` is anything :func:`posterior_covariance` accepts; an index
+    array may be empty.
     D = d_l d_r^T + jitter holds the prior precision's eigenvalues and the
     atoms Ah_t = U_l^T A_t U_r the Woodbury index rows in the eigenbasis.
 
@@ -341,6 +350,34 @@ def structured_covariance(
     rows = np.ascontiguousarray((y * (lam / root)).transpose(1, 0, 2))
     return StructuredCovariance(u_l, u_r, lam, rows,
                                 -1.0 if observed else 1.0, quadratic)
+
+
+@dataclass
+class BlockCovariance:
+    """Block-diagonal Sigma over disjoint groups of whole columns of X:
+    ``blocks[b]`` covers the columns ``columns[b]``, with prior
+    alpha_r[b, b] kron alpha_l; entries across groups are zero."""
+
+    columns: list[np.ndarray]
+    blocks: list[StructuredCovariance]
+
+    def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
+        """Same p x p result as ``trace_contract_right`` on the dense Sigma."""
+        alpha_r = np.asarray(alpha_r, dtype=float)
+        return sum(s.contract_right(alpha_r[np.ix_(c, c)])
+                   for c, s in zip(self.columns, self.blocks))
+
+    def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
+        """Same q x q result as ``trace_contract_left`` on the dense Sigma."""
+        q = sum(c.size for c in self.columns)
+        out = np.zeros((q, q))
+        for c, s in zip(self.columns, self.blocks):
+            out[np.ix_(c, c)] = s.contract_left(alpha_l)
+        return out
+
+    def trace_quadratic(self) -> float:
+        """tr(A Sigma A^T) when block b was built from A's columns in b."""
+        return sum(s.trace_quadratic() for s in self.blocks)
 
 
 @dataclass

@@ -46,6 +46,8 @@ class MeasurementOperator:
             mat = np.asarray(matrix, dtype=float)
             if mat.ndim != 2 or mat.shape[1] != self.p * self.q:
                 raise ValueError("dense operator must be m x (p*q)")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("dense operator has non-finite entries")
             self.vec_indices = None
             self.matrix = mat
             self.m = mat.shape[0]
@@ -116,6 +118,8 @@ class ProblemInstance:
         self.y = np.asarray(self.y, dtype=float)
         if self.y.shape != (self.operator.m,):
             raise ValueError("y length must equal operator.m")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("y has non-finite entries")
 
     @property
     def p(self) -> int:

@@ -12,6 +12,7 @@ from rsvm.core import (
 )
 from rsvm.kronops import unvec, vec
 from rsvm.sensing import (
+    MeasurementOperator,
     completion_operator,
     gaussian_operator,
     generate_low_rank,
@@ -19,7 +20,7 @@ from rsvm.sensing import (
     noise_sigma_for_snr,
 )
 
-from naive_oracles import random_spd
+from naive_oracles import dense_block_update, random_spd
 
 
 def noisy_instance(p, q, r, m, seed, snr=100.0):
@@ -39,28 +40,11 @@ class TestPartition:
         part = partition_blocks(3, 4, "columns", 4)
         assert [len(b) for b in part.blocks] == [3, 3, 3, 3]
 
-    def test_grid_1x1_degenerates(self):
-        part = partition_blocks(4, 5, "grid", (1, 1))
-        assert part.n_blocks == 1
-        np.testing.assert_array_equal(part.blocks[0], np.arange(20))
-
-    def test_rows_strategy(self):
-        part = partition_blocks(5, 3, "rows", 2)
-        union = np.sort(np.concatenate(part.blocks))
-        np.testing.assert_array_equal(union, np.arange(15))
-        assert [len(b) for b in part.blocks] == [9, 6]
-
-    def test_grid_disjoint_cover(self):
-        part = partition_blocks(5, 7, "grid", (2, 3))
-        assert part.n_blocks == 6
-        union = np.sort(np.concatenate(part.blocks))
-        np.testing.assert_array_equal(union, np.arange(35))
-
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             partition_blocks(3, 4, "columns", 5)
         with pytest.raises(ValueError):
-            partition_blocks(3, 4, "grid", (4, 1))
+            partition_blocks(3, 4, "rows", 2)
         with pytest.raises(ValueError):
             partition_blocks(3, 4, "diagonal", 2)
 
@@ -76,6 +60,33 @@ class TestBlockMapUpdate:
         x_full, sigma_full = map_estimate(state, inst)
         np.testing.assert_allclose(xb, vec(x_full), rtol=1e-8)
         np.testing.assert_allclose(sigma_b, sigma_full, rtol=1e-8)
+
+    @pytest.mark.parametrize("kind, m", [("completion", 5),
+                                         ("completion", 15),
+                                         ("gaussian", 6), ("gaussian", 20)])
+    def test_matches_dense_conditional(self, kind, m):
+        # completion observes only columns 0-3, so the last of the three
+        # column blocks has no observed entry; Gaussian sensing with m
+        # below and above the block size p w = 8
+        p, q = 4, 6
+        rng = np.random.default_rng(m)
+        if kind == "completion":
+            op = MeasurementOperator("completion", p, q, vec_indices=rng.choice(
+                16, size=m, replace=False))
+        else:
+            op = gaussian_operator(p, q, m, m)
+        inst = measure(op, generate_low_rank(p, q, 2, m), 0.1, m)
+        prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
+        state = SolverState(rng.standard_normal((p, q)), None, prec)
+        part = partition_blocks(p, q, "columns", 3)
+        for b in range(3):
+            xb, sigma_b = block_map_update(state, inst, part, b)
+            ref_x, ref_sigma = dense_block_update(
+                prec.alpha_l, prec.alpha_r, op.dense(), inst.y, prec.beta,
+                vec(state.x_hat), part.blocks[b])
+            np.testing.assert_allclose(xb, ref_x, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(sigma_b, ref_sigma, rtol=1e-9,
+                                       atol=1e-12)
 
     def test_sweeps_converge_to_full_map(self):
         # fixed precisions: cyclic block descent reaches the joint solve
@@ -194,6 +205,17 @@ class TestSolveAccelerated:
         assert lines[0].endswith(",sweeps")
         assert len(lines) == 5
 
+    def test_unobserved_column_block(self):
+        # the last column block (columns 4-5) has no observed entry
+        p, q = 4, 6
+        op = MeasurementOperator("completion", p, q, vec_indices=np.arange(
+            0, 16, 2))
+        inst = measure(op, generate_low_rank(p, q, 1, 38), 0.05, 39)
+        est = solve_accelerated(inst, Hyperparameters(max_iter=5),
+                                partition_blocks(p, q, "columns", 3))
+        assert np.all(np.isfinite(est.x_hat))
+        assert est.iterations == 5
+
     def test_gaussian_operator_supported(self):
         x = generate_low_rank(4, 5, 1, 32)
         op = gaussian_operator(4, 5, 14, 33)
@@ -210,20 +232,20 @@ class TestSolveAccelerated:
         b = solve_accelerated(inst, part=part)
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
-    def test_smaller_blocks_cheaper_inner_solve(self):
-        # smoke check only: the per-iteration inner solve gets cheaper as
-        # blocks shrink (one 324^3 inverse vs six 54^3 ones)
-        import time
-
+    def test_smaller_blocks_fewer_woodbury_rows(self):
+        # the inner solve of a block costs O(k^2 p w) for its k Woodbury
+        # rows; six blocks of three columns keep every k below the single
+        # all-column block's min(m, pq - m)
         inst = noisy_instance(18, 18, 2, 227, 36)
-        timings = {}
-        for n_blocks in (1, 6):
+        rng = np.random.default_rng(37)
+        prec = PrecisionState(random_spd(rng, 18), random_spd(rng, 18), 1.0)
+        state = SolverState(np.zeros((18, 18)), None, prec)
+
+        def rows(n_blocks):
             part = partition_blocks(18, 18, "columns", n_blocks)
-            hyper = Hyperparameters(max_iter=3, tol=1e-15)
-            best = float("inf")
-            for _ in range(5):
-                start = time.perf_counter()
-                solve_accelerated(inst, hyper, part, k_sweeps=1)
-                best = min(best, time.perf_counter() - start)
-            timings[n_blocks] = best
-        assert timings[6] < timings[1]
+            return [block_map_update(state, inst, part, b)[1].rows.shape[1]
+                    for b in range(n_blocks)]
+
+        single = rows(1)
+        assert single == [324 - 227]
+        assert max(rows(6)) < single[0]

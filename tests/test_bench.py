@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rsvm import bench
+from rsvm import bench, cli
 from rsvm.bench import (
     AggregateRow,
     ConfigError,
@@ -19,6 +19,7 @@ from rsvm.bench import (
 )
 from rsvm.cli import main
 from rsvm.core import Hyperparameters, SolverDivergenceError
+from rsvm.kronops import FactorizationError
 
 
 def tiny_config(**overrides):
@@ -245,6 +246,29 @@ class TestCli:
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["nmse_db"] < -10.0
+
+    @pytest.mark.parametrize("error, code", [
+        (SolverDivergenceError("non-finite estimate at iteration 1"), 2),
+        (FactorizationError("Cholesky factorization failed"), 2),
+        (TypeError("a programming error"), None)])
+    def test_solve_failure_handling(self, tmp_path, capsys, monkeypatch,
+                                    error, code):
+        # numerical failures exit 2; anything else propagates
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
+                     "--out", str(inst_path)]) == 0
+
+        def fail(name, inst, cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run_algorithm", fail)
+        args = ["solve", "--instance", str(inst_path), "--algorithm", "rsvm"]
+        if code is None:
+            with pytest.raises(type(error)):
+                main(args)
+        else:
+            assert main(args) == code
+            assert "solver failed" in capsys.readouterr().err
 
     def test_sweep_and_report(self, tmp_path, capsys):
         config = {

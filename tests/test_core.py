@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rsvm import core
 from rsvm.core import (
     Hyperparameters,
     PrecisionState,
@@ -9,6 +10,7 @@ from rsvm.core import (
     balance_precisions,
     effective_rank,
     init_state,
+    iterate,
     map_estimate,
     neg_log_joint,
     solve,
@@ -26,6 +28,7 @@ from rsvm.sensing import (
 )
 
 from naive_oracles import (
+    DenseCovariance,
     dense_map_solve,
     naive_sigma_left,
     naive_sigma_right,
@@ -114,7 +117,7 @@ class TestUpdatePrecisions:
     def test_zero_estimate_identity_sigma(self):
         p, q = 3, 4
         hyper = Hyperparameters()
-        state = SolverState(np.zeros((p, q)), np.eye(p * q),
+        state = SolverState(np.zeros((p, q)), DenseCovariance(np.eye(p * q)),
                             PrecisionState(np.eye(p), np.eye(q), 1.0))
         prec = update_precisions(state, hyper)
         eps = hyper.epsilon_scale
@@ -126,7 +129,7 @@ class TestUpdatePrecisions:
         p, q = 3, 4
         hyper = Hyperparameters()
         eps = hyper.epsilon_scale
-        state = SolverState(np.zeros((p, q)), np.eye(p * q),
+        state = SolverState(np.zeros((p, q)), DenseCovariance(np.eye(p * q)),
                             PrecisionState(np.eye(p), np.eye(q), 1.0))
         prec = update_precisions(state, hyper)
         al_scalar = 1.0 / (q + eps)
@@ -141,7 +144,8 @@ class TestUpdatePrecisions:
         x = rng.standard_normal((p, q))
         sigma = random_spd(rng, p * q)
         al, ar = random_spd(rng, p), random_spd(rng, q)
-        state = SolverState(x, sigma, PrecisionState(al, ar, 1.0))
+        state = SolverState(x, DenseCovariance(sigma),
+                            PrecisionState(al, ar, 1.0))
         prec = update_precisions(state, hyper)
 
         eps = hyper.epsilon_scale
@@ -162,7 +166,7 @@ class TestUpdateNoisePrecision:
         inst = measure(op, np.zeros((p, q)), 0.0, 14)
         inst.y = np.arange(1.0, 10.0)
         x = np.asarray(op.adjoint(inst.y))
-        sigma = 0.5 * np.eye(9)
+        sigma = DenseCovariance(0.5 * np.eye(9), op)
         state = SolverState(x, sigma, PrecisionState(np.eye(3), np.eye(3), 1.0))
         beta = update_noise_precision(state, inst, hyper)
         assert abs(beta - 9.0 / 4.5) <= 1e-12  # m / tr(A sigma A^T)
@@ -170,7 +174,8 @@ class TestUpdateNoisePrecision:
     def test_vanishing_sigma_gives_ml_estimate(self):
         inst = small_instance(15)
         hyper = Hyperparameters(c=0.0, d=0.0)
-        state = SolverState(np.zeros((3, 3)), 1e-300 * np.eye(9),
+        state = SolverState(np.zeros((3, 3)),
+                            DenseCovariance(1e-300 * np.eye(9), inst.operator),
                             PrecisionState(np.eye(3), np.eye(3), 1.0))
         beta = update_noise_precision(state, inst, hyper)
         expected = inst.m / float(inst.y @ inst.y)
@@ -182,7 +187,8 @@ class TestUpdateNoisePrecision:
         hyper = Hyperparameters()
         x = rng.standard_normal((3, 4))
         sigma = random_spd(rng, 12)
-        state = SolverState(x, sigma, PrecisionState(np.eye(3), np.eye(4), 1.0))
+        state = SolverState(x, DenseCovariance(sigma, inst.operator),
+                            PrecisionState(np.eye(3), np.eye(4), 1.0))
         beta = update_noise_precision(state, inst, hyper)
         a = inst.operator.dense()
         resid = inst.y - a @ vec(x)
@@ -193,7 +199,8 @@ class TestUpdateNoisePrecision:
     def test_non_positive_denominator_is_divergence(self):
         # a covariance with negative trace is a numerical failure
         inst = small_instance(14)
-        state = SolverState(np.zeros((3, 3)), -1e6 * np.eye(9),
+        state = SolverState(np.zeros((3, 3)),
+                            DenseCovariance(-1e6 * np.eye(9), inst.operator),
                             PrecisionState(np.eye(3), np.eye(3), 1.0))
         with pytest.raises(SolverDivergenceError):
             update_noise_precision(state, inst, Hyperparameters())
@@ -362,6 +369,32 @@ class TestSolve:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,rel_change,neg_log_joint,beta,effective_rank"
         assert len(lines) == 6
+
+
+class TestIterate:
+    @pytest.mark.parametrize("name", ["alpha_l", "alpha_r"])
+    def test_non_finite_precision_is_divergence(self, name):
+        inst = small_instance(54)
+        hyper = Hyperparameters(max_iter=4)
+
+        def precisions(state):
+            prec = update_precisions(state, hyper)
+            getattr(prec, name)[0, 0] = np.nan
+            return prec
+
+        with pytest.raises(SolverDivergenceError,
+                           match="precisions at iteration 1") as info:
+            iterate(inst, hyper, lambda state: map_estimate(state, inst),
+                    precisions)
+        assert np.isnan(getattr(info.value.state.precisions, name)[0, 0])
+
+    def test_non_finite_noise_precision_is_divergence(self, monkeypatch):
+        inst = small_instance(55)
+        monkeypatch.setattr(core, "update_noise_precision",
+                            lambda state, inst, hyper: float("inf"))
+        with pytest.raises(SolverDivergenceError,
+                           match="noise precision at iteration 1"):
+            solve(inst)
 
 
 class TestEffectiveRank:

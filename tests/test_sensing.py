@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsvm.kronops import vec
 from rsvm.sensing import (
@@ -144,6 +146,22 @@ class TestAdjoint:
             rhs = float(v @ op.apply_adjoint(w))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), q=st.integers(1, 6), m_frac=st.floats(0, 1),
+           dense=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_inner_product_identity_property(self, p, q, m_frac, dense,
+                                             seed):
+        m = 1 + int(round(m_frac * (p * q - 1)))
+        make = gaussian_operator if dense else completion_operator
+        op = make(p, q, m, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((p, q))
+        w = rng.standard_normal(m)
+        lhs = float(op.forward(x) @ w)
+        rhs = float(np.sum(x * op.adjoint(w)))
+        assert abs(lhs - rhs) <= 1e-12 * max(
+            float(np.abs(x).sum() * np.abs(w).sum()), 1.0)
+
     def test_completion_adjoint_scatters(self):
         op = completion_operator(3, 4, 5, 20)
         w = np.arange(1.0, 6.0)
@@ -217,3 +235,50 @@ class TestSerialization:
         assert a.y.tobytes() == b.y.tobytes()
         assert (a.operator.vec_indices.tobytes()
                 == b.operator.vec_indices.tobytes())
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 5), q=st.integers(1, 5), m_frac=st.floats(0, 1),
+           dense=st.booleans(), truth=st.booleans(),
+           sigma_n=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_json_round_trip_property(self, p, q, m_frac, dense, truth,
+                                      sigma_n, seed):
+        m = 1 + int(round(m_frac * (p * q - 1)))
+        make = gaussian_operator if dense else completion_operator
+        inst = measure(make(p, q, m, seed),
+                       np.random.default_rng(seed).standard_normal((p, q)),
+                       sigma_n, seed)
+        if not truth:
+            inst.ground_truth = None
+        back = instance_from_dict(json.loads(json.dumps(
+            instance_to_dict(inst))))
+        assert (back.p, back.q, back.m) == (p, q, m)
+        assert back.operator.kind == inst.operator.kind
+        assert back.y.tobytes() == inst.y.tobytes()
+        if dense:
+            assert back.operator.matrix.tobytes() \
+                == inst.operator.matrix.tobytes()
+        else:
+            np.testing.assert_array_equal(back.operator.vec_indices,
+                                          inst.operator.vec_indices)
+        if truth:
+            assert back.ground_truth.tobytes() == inst.ground_truth.tobytes()
+        else:
+            assert back.ground_truth is None
+        assert back.sigma_n == inst.sigma_n
+
+    @pytest.mark.parametrize("kind, field", [("completion", "y"),
+                                             ("dense", "y"),
+                                             ("dense", "matrix")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_rejected(self, kind, field, bad):
+        make = gaussian_operator if kind == "dense" else completion_operator
+        doc = instance_to_dict(measure(make(3, 4, 6, 40),
+                                       generate_low_rank(3, 4, 1, 41),
+                                       0.1, 42))
+        doc = json.loads(json.dumps(doc))
+        if field == "y":
+            doc["y"][2] = bad
+        else:
+            doc["matrix"][1][3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            instance_from_dict(doc)

@@ -1,8 +1,8 @@
 """The structured posterior covariance against its dense references.
 
 ``posterior_covariance(method="direct")`` and ``dense_map_solve`` build and
-solve the pq x pq system; the structured form must reproduce them, and the
-solvers must never allocate a pq x pq array on their default path.
+solve the pq x pq system; the structured form must reproduce them, and no
+solver may allocate a pq x pq array.
 """
 
 import tracemalloc
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rsvm.accel import solve_accelerated
 from rsvm.core import (
     Hyperparameters,
     PrecisionState,
@@ -32,7 +33,7 @@ from rsvm.kronops import (
 from rsvm.sensing import completion_operator, gaussian_operator, measure
 from rsvm.symmetric import solve_symmetric
 
-from naive_oracles import dense_map_solve, random_spd
+from naive_oracles import DenseCovariance, dense_map_solve, random_spd
 
 RTOL = 1e-9
 
@@ -118,7 +119,7 @@ class TestStructuredCovariance:
 
     @pytest.mark.parametrize("m", [3, 9])
     def test_precision_update_matches_dense_sigma(self, m):
-        # core reads the structured form and a dense ndarray alike
+        # core reads the structured form and the dense matrix alike
         rng = np.random.default_rng(m)
         op = completion_operator(3, 4, m, m)
         inst = measure(op, rng.standard_normal((3, 4)), 0.1, m)
@@ -126,7 +127,8 @@ class TestStructuredCovariance:
         state = SolverState(rng.standard_normal((3, 4)), None, prec)
         _, sigma = map_estimate(state, inst)
         assert isinstance(sigma, StructuredCovariance)
-        dense = SolverState(state.x_hat, sigma.dense(), prec)
+        dense = SolverState(state.x_hat,
+                            DenseCovariance(sigma.dense(), op), prec)
         state.sigma = sigma
         hyper = Hyperparameters()
         got, ref = update_precisions(state, hyper), update_precisions(dense,
@@ -139,8 +141,8 @@ class TestStructuredCovariance:
 
 
 @pytest.mark.parametrize("m_frac", [0.1, 0.9])
-@pytest.mark.parametrize("symmetric", [False, True], ids=["rsvm", "symmetric"])
-def test_solvers_allocate_nothing_pq_by_pq(m_frac, symmetric):
+@pytest.mark.parametrize("solver", ["rsvm", "symmetric", "accel"])
+def test_solvers_allocate_nothing_pq_by_pq(m_frac, solver):
     # 30 x 30 with k = 90 Woodbury rows: the k x pq arrays take a tenth of
     # one pq x pq array, so a dense covariance anywhere would show.
     p = q = 30
@@ -149,12 +151,11 @@ def test_solvers_allocate_nothing_pq_by_pq(m_frac, symmetric):
     op = completion_operator(p, q, int(m_frac * p * q), 4)
     inst = measure(op, left @ left.T, 0.1, 5)
     hyper = Hyperparameters(max_iter=2)
+    run = {"rsvm": solve, "symmetric": solve_symmetric,
+           "accel": solve_accelerated}[solver]
     tracemalloc.start()
     try:
-        if symmetric:
-            solve_symmetric(inst, hyper)
-        else:
-            solve(inst, hyper)
+        run(inst, hyper)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

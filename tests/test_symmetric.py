@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rsvm.core import Hyperparameters
-from rsvm.kronops import KronSum, nearest_kron_sum, trace_contract_left, trace_contract_right
+from rsvm.core import Hyperparameters, PrecisionState, SolverState
+from rsvm.kronops import trace_contract_left, trace_contract_right
 from rsvm.sensing import completion_operator, measure, noise_sigma_for_snr
-from rsvm.symmetric import SymmetricState, solve_symmetric, update_precision_symmetric
+from rsvm.symmetric import solve_symmetric, update_precision
 
-from naive_oracles import random_spd
+from naive_oracles import DenseCovariance, random_spd
 
 
 def psd_truth(p, r, seed):
@@ -14,30 +14,35 @@ def psd_truth(p, r, seed):
     return left @ left.T
 
 
+def sym_state(x, alpha, sigma):
+    return SolverState(x, DenseCovariance(sigma),
+                       PrecisionState(alpha, alpha, 1.0))
+
+
 class TestUpdatePrecision:
     def test_zero_state_floor_only(self):
         p = 3
         hyper = Hyperparameters()
-        ks = KronSum([(np.zeros((p, p)), np.zeros((p, p)))])
-        state = SymmetricState(np.zeros((p, p)), np.eye(p), 1.0, ks, 1)
-        out = update_precision_symmetric(state, hyper)
+        state = sym_state(np.zeros((p, p)), np.eye(p), np.zeros((p * p, p * p)))
+        out = update_precision(state, hyper)
         np.testing.assert_allclose(
-            out, (hyper.nu_eff / hyper.epsilon_scale) * np.eye(p), rtol=1e-10)
+            out.alpha_l, (hyper.nu_eff / hyper.epsilon_scale) * np.eye(p),
+            rtol=1e-10)
+        assert out.alpha_r is out.alpha_l
 
     def test_identity_sigma_single_term(self):
-        # sigma = I decomposes as (c I, I/c); contraction pair sums to
-        # 2 tr(alpha) I independent of the scalar split
+        # sigma = I contracts to tr(alpha) I on each side, so the pair
+        # sums to 2 tr(alpha) I
         p = 4
         hyper = Hyperparameters()
         rng = np.random.default_rng(0)
         alpha = random_spd(rng, p)
-        ks = nearest_kron_sum(np.eye(p * p), p, 1)
-        state = SymmetricState(np.zeros((p, p)), alpha, 1.0, ks, 1)
-        out = update_precision_symmetric(state, hyper)
+        out = update_precision(
+            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)), hyper)
         expected = np.linalg.inv(
             2.0 * np.trace(alpha) * np.eye(p)
             + hyper.epsilon_scale * np.eye(p))
-        np.testing.assert_allclose(out, expected, rtol=1e-10)
+        np.testing.assert_allclose(out.alpha_l, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_full_decomposition_matches_dense_contractions(self, p):
@@ -47,25 +52,23 @@ class TestUpdatePrecision:
         x = rng.standard_normal((p, p))
         x = 0.5 * (x + x.T)
         sigma = random_spd(rng, p * p)
-        ks = nearest_kron_sum(sigma, p, p * p)
-        state = SymmetricState(x, alpha, 1.0, ks, p * p)
-        out = update_precision_symmetric(state, hyper)
+        out = update_precision(sym_state(x, alpha, sigma), hyper)
         # dense reference: both contractions of sigma against alpha
         pair_sum = (trace_contract_right(sigma, alpha)
                     + trace_contract_left(sigma, alpha))
         expected = np.linalg.inv(2.0 * x @ alpha @ x + pair_sum
                                  + hyper.epsilon_scale * np.eye(p))
-        np.testing.assert_allclose(out, expected, rtol=1e-8)
+        np.testing.assert_allclose(out.alpha_l, expected, rtol=1e-8)
 
     def test_output_symmetrized(self):
         p = 3
         rng = np.random.default_rng(2)
         alpha = random_spd(rng, p)
         alpha[0, 1] += 1e-13  # symmetric-but-perturbed input
-        ks = nearest_kron_sum(np.eye(p * p), p, p * p)
-        state = SymmetricState(np.zeros((p, p)), alpha, 1.0, ks, p * p)
-        out = update_precision_symmetric(state, Hyperparameters())
-        np.testing.assert_array_equal(out, out.T)
+        out = update_precision(
+            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)),
+            Hyperparameters())
+        np.testing.assert_array_equal(out.alpha_l, out.alpha_l.T)
 
 
 class TestSolveSymmetric:
@@ -106,19 +109,6 @@ class TestSolveSymmetric:
             num += np.sum((x - est.x_hat) ** 2)
             den += np.sum(x * x)
         assert 10.0 * np.log10(num / den) < -18.0
-
-    def test_truncated_terms_still_run(self):
-        p = 5
-        x = psd_truth(p, 1, 14)
-        op = completion_operator(p, p, 20, 15)
-        inst = measure(op, x, 0.05, 16)
-        est_full = solve_symmetric(inst, s_terms=p * p)
-        est_trunc = solve_symmetric(inst, s_terms=3)
-        assert np.all(np.isfinite(est_trunc.x_hat))
-        # the truncated run is an approximation of the full one
-        rel = (np.linalg.norm(est_trunc.x_hat - est_full.x_hat, "fro")
-               / np.linalg.norm(est_full.x_hat, "fro"))
-        assert rel < 0.5
 
     def test_trace_file(self, tmp_path):
         p = 4
