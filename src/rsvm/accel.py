@@ -84,12 +84,12 @@ def _block_operator(op: MeasurementOperator, flat: np.ndarray):
     return np.linalg.qr(op.matrix[:, flat], mode="r")
 
 
-def _block_covariance(prec: PrecisionState, cols: np.ndarray, op,
-                      jitter: float) -> StructuredCovariance:
+def _block_covariance(prec: PrecisionState, cols: np.ndarray,
+                      op) -> StructuredCovariance:
     """Local posterior covariance of the columns ``cols``, the rest fixed."""
     return structured_covariance(prec.alpha_l,
                                  prec.alpha_r[np.ix_(cols, cols)], op,
-                                 prec.beta, jitter)
+                                 prec.beta)
 
 
 def _block_rhs(inst: ProblemInstance, x: np.ndarray, prec: PrecisionState,
@@ -105,7 +105,7 @@ def _block_rhs(inst: ProblemInstance, x: np.ndarray, prec: PrecisionState,
 
 
 def block_map_update(state: SolverState, inst: ProblemInstance,
-                     part: BlockPartition, i: int, jitter: float = 0.0
+                     part: BlockPartition, i: int
                      ) -> tuple[np.ndarray, StructuredCovariance]:
     """One conditional block update given the rest of the current estimate.
 
@@ -116,7 +116,7 @@ def block_map_update(state: SolverState, inst: ProblemInstance,
     prec = state.precisions
     cols = part.columns[i]
     sigma = _block_covariance(
-        prec, cols, _block_operator(inst.operator, part.blocks[i]), jitter)
+        prec, cols, _block_operator(inst.operator, part.blocks[i]))
     return vec(sigma.apply(_block_rhs(inst, state.x_hat, prec, cols))), sigma
 
 
@@ -151,7 +151,7 @@ def solve_accelerated(inst: ProblemInstance,
         prec = state.precisions
         # Local covariances depend only on the precisions: one per block
         # per outer iteration, shared across sweeps.
-        sigmas = [_block_covariance(prec, cols, op, hyper.jitter)
+        sigmas = [_block_covariance(prec, cols, op)
                   for cols, op in zip(part.columns, ops)]
         for _ in range(k_sweeps):
             for cols, sigma in zip(part.columns, sigmas):

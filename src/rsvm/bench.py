@@ -57,8 +57,6 @@ class ExperimentConfig:
     seed: int = 0
     hyper: Hyperparameters | None = None  # None: each solver's own default
     nuclear_cfg: nuclear.NuclearConfig = field(default_factory=nuclear.NuclearConfig)
-    accel_blocks: int = 4
-    accel_sweeps: int = 3
     psd_truth: bool = False
     record_timing: bool = True
     jobs: int = 1
@@ -181,9 +179,7 @@ def run_algorithm(name: str, inst, cfg: ExperimentConfig):
     if name == "rsvm":
         return solve(inst, cfg.hyper)
     if name == "rsvm-accel":
-        part = accel.partition_blocks(inst.p, inst.q, "columns",
-                                      min(cfg.accel_blocks, inst.q))
-        return accel.solve_accelerated(inst, cfg.hyper, part, cfg.accel_sweeps)
+        return accel.solve_accelerated(inst, cfg.hyper)
     if name == "rsvm-symmetric":
         return symmetric.solve_symmetric(inst, cfg.hyper)
     if name == "nuclear":

@@ -104,7 +104,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    try:
+        inst = load_instance(args.instance)
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot load instance {args.instance}: "
+                          f"{type(exc).__name__}: {exc}") from exc
     cfg = ExperimentConfig(scenario="completion", p=inst.p, q=inst.q,
                            m_fraction=[0.7], algorithms=(args.algorithm,))
     try:
@@ -129,17 +133,24 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _section(cls, name, values):
+    """Build a nested config section; bad keys or values are config errors."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _load_config(path, overrides) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     hyper_doc = doc.pop("hyper", None)
-    hyper = None if hyper_doc is None else Hyperparameters(**hyper_doc)
-    ncfg = doc.pop("nuclear_cfg", {})
-    if "lambda_bracket" in ncfg and ncfg["lambda_bracket"] is not None:
-        ncfg["lambda_bracket"] = tuple(ncfg["lambda_bracket"])
-    nuclear_cfg = NuclearConfig(**ncfg)
+    hyper = None if hyper_doc is None \
+        else _section(Hyperparameters, "hyper", hyper_doc)
+    nuclear_cfg = _section(NuclearConfig, "nuclear_cfg",
+                           doc.pop("nuclear_cfg", {}))
     if "algorithms" in doc:
         doc["algorithms"] = tuple(doc["algorithms"])
     doc.update(overrides)

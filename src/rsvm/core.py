@@ -44,8 +44,10 @@ class Hyperparameters:
 
     epsilon_scale is the scale of the precision-prior floor (eps * I added
     inside the precision updates); c, d parameterize the gamma prior on the
-    noise precision; nu_eff is the post-balancing multiplier (any positive
-    constant is equivalent after rescaling).
+    noise precision. The precision updates carry no scale factor: balancing
+    fixes tr(alpha_l^-1) tr(alpha_r^-1) = ||X||_F^2, so a common factor on
+    both precisions would cancel. A failed Cholesky factorization is
+    retried with the fixed jitter schedule of :func:`rsvm.kronops.spd_inverse`.
 
     The iteration is semi-convergent on noisy data: once the fit starts
     chasing noise the estimated noise precision inflates and accuracy
@@ -58,10 +60,8 @@ class Hyperparameters:
     epsilon_scale: float = 1e-6
     c: float = 1e-6
     d: float = 1e-6
-    nu_eff: float = 1.0
     tol: float = 1e-6
     max_iter: int = 25
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.epsilon_scale <= 0:
@@ -123,16 +123,12 @@ def init_state(inst: ProblemInstance, hyper: Hyperparameters) -> SolverState:
     return SolverState(x_hat=np.zeros((p, q)), sigma=None, precisions=prec)
 
 
-def map_estimate(state: SolverState, inst: ProblemInstance,
-                 jitter: float = 0.0
+def map_estimate(state: SolverState, inst: ProblemInstance
                  ) -> tuple[np.ndarray, StructuredCovariance]:
-    """Posterior mode and structured covariance for the current precisions.
-
-    ``jitter`` is added to the diagonal of the prior precision.
-    """
+    """Posterior mode and structured covariance for the current precisions."""
     prec = state.precisions
     sigma = structured_covariance(prec.alpha_l, prec.alpha_r, inst.operator,
-                                  prec.beta, jitter)
+                                  prec.beta)
     rhs = unvec(inst.operator.apply_adjoint(inst.y), inst.p, inst.q)
     return prec.beta * sigma.apply(rhs), sigma
 
@@ -146,12 +142,9 @@ def update_precisions(state: SolverState,
     eps = hyper.epsilon_scale
     p, q = x.shape
 
-    al = hyper.nu_eff * spd_inverse(
-        sigma.contract_right(prec.alpha_r) + x @ prec.alpha_r @ x.T
-        + eps * np.eye(p), hyper.jitter)
-    ar = hyper.nu_eff * spd_inverse(
-        sigma.contract_left(al) + x.T @ al @ x + eps * np.eye(q),
-        hyper.jitter)
+    al = spd_inverse(sigma.contract_right(prec.alpha_r)
+                     + x @ prec.alpha_r @ x.T + eps * np.eye(p))
+    ar = spd_inverse(sigma.contract_left(al) + x.T @ al @ x + eps * np.eye(q))
     return PrecisionState(symmetrize(al), symmetrize(ar), prec.beta)
 
 
@@ -281,6 +274,6 @@ def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
     # The steps look map_estimate/update_precisions up at call time, so a
     # wrapper installed on the module attribute sees every call.
     return iterate(inst, hyper,
-                   lambda state: map_estimate(state, inst, hyper.jitter),
+                   lambda state: map_estimate(state, inst),
                    lambda state: update_precisions(state, hyper),
                    trace_path)

@@ -6,7 +6,8 @@ Conventions used throughout the package:
   quadratic form satisfies tr(L X R X^T) = vec(X)^T (R kron L) vec(X) for
   symmetric L, R, which is the identity the solver updates rely on.
 * Covariances/precisions are kept symmetric explicitly; inversions go
-  through Cholesky with an escalating jitter fallback.
+  through Cholesky. A failed factorization is retried with a fixed
+  schedule of trace-scaled diagonal jitter (see :func:`_spd_factor`).
 
 No solver forms the pq x pq posterior covariance
 Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}. With
@@ -102,42 +103,38 @@ def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
     return np.einsum("ji,likj->kl", alpha_l, t)
 
 
-def _jitter_attempts(m: np.ndarray, jitter: float) -> list[float]:
+def _spd_factor(m: np.ndarray):
+    """Cholesky factor (``cho_factor`` pair) of an SPD matrix.
+
+    Tries m itself first; on failure retries with f I added, then 10 f I and
+    100 f I, f = 1e-12 tr(m) / dim (1e-12 when that is not positive), then
+    raises :class:`FactorizationError`.
+    """
+    m = symmetrize(np.asarray(m, dtype=float))
     dim = m.shape[0]
+    eye = np.eye(dim)
     floor = 1e-12 * abs(float(np.trace(m))) / dim if dim else 0.0
     if floor <= 0.0:
         floor = 1e-12
-    return [jitter] + [max(jitter, floor * 10.0**k) for k in range(3)]
-
-
-def _spd_factor(m: np.ndarray, jitter: float = 0.0):
-    """Cholesky factor (``cho_factor`` pair) of an SPD matrix.
-
-    Adds ``jitter * I`` up front; on factorization failure retries with a
-    trace-scaled jitter floor escalated x10 up to three times, then raises
-    :class:`FactorizationError`.
-    """
-    m = symmetrize(np.asarray(m, dtype=float))
-    eye = np.eye(m.shape[0])
-    for eps in _jitter_attempts(m, jitter):
+    for eps in [0.0] + [floor * 10.0**k for k in range(3)]:
         try:
             return scipy.linalg.cho_factor(m + eps * eye if eps else m,
                                            lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
-        f"Cholesky factorization failed for dim {m.shape[0]} after jitter "
+        f"Cholesky factorization failed for dim {dim} after jitter "
         "escalation"
     )
 
 
-def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix via Cholesky.
 
     LAPACK dpotri on the factor of :func:`_spd_factor` (same jitter
     schedule); raises :class:`FactorizationError` when it is exhausted.
     """
-    c, _ = _spd_factor(m, jitter)
+    c, _ = _spd_factor(m)
     inv, info = scipy.linalg.lapack.dpotri(c, lower=True, overwrite_c=True)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
@@ -146,10 +143,9 @@ def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     return low + np.tril(low, -1).T
 
 
-def spd_solve(m: np.ndarray, rhs: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+def spd_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m x = rhs for SPD m, with the same jitter schedule as spd_inverse."""
-    return scipy.linalg.cho_solve(_spd_factor(m, jitter), rhs,
-                                  check_finite=False)
+    return scipy.linalg.cho_solve(_spd_factor(m), rhs, check_finite=False)
 
 
 def _operator_parts(a):
@@ -176,7 +172,6 @@ def posterior_covariance(
     a,
     beta: float,
     method: str = "auto",
-    jitter: float = 0.0,
 ) -> np.ndarray:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1}.
 
@@ -201,11 +196,11 @@ def posterior_covariance(
             mat[idx, idx] += beta
         else:
             mat += beta * (dense.T @ dense)
-        return spd_inverse(mat, jitter)
+        return spd_inverse(mat)
 
     if method != "woodbury":
         raise ValueError(f"unknown method {method!r}")
-    p_inv = np.kron(spd_inverse(alpha_r, jitter), spd_inverse(alpha_l, jitter))
+    p_inv = np.kron(spd_inverse(alpha_r), spd_inverse(alpha_l))
     if idx is not None:
         pa = p_inv[:, idx]
         apa = pa[idx, :]
@@ -213,7 +208,7 @@ def posterior_covariance(
         pa = p_inv @ dense.T
         apa = dense @ pa
     cap = symmetrize(apa) + np.eye(m) / beta
-    return symmetrize(p_inv - pa @ spd_solve(cap, pa.T, jitter))
+    return symmetrize(p_inv - pa @ spd_solve(cap, pa.T))
 
 
 @dataclass
@@ -285,14 +280,13 @@ def structured_covariance(
     alpha_r: np.ndarray,
     a,
     beta: float,
-    jitter: float = 0.0,
 ) -> StructuredCovariance:
-    """Posterior covariance ((alpha_r kron alpha_l) + jitter I + beta A^T A)^{-1}
-    in structured form (see the module docstring).
+    """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} in
+    structured form (see the module docstring).
 
     ``a`` is anything :func:`posterior_covariance` accepts; an index
     array may be empty.
-    D = d_l d_r^T + jitter holds the prior precision's eigenvalues and the
+    D = d_l d_r^T holds the prior precision's eigenvalues and the
     atoms Ah_t = U_l^T A_t U_r the Woodbury index rows in the eigenbasis.
 
     * Observed rows (the m measurements; unit matrices for completion):
@@ -312,11 +306,10 @@ def structured_covariance(
     d_l, u_l = np.linalg.eigh(symmetrize(np.asarray(alpha_l, dtype=float)))
     d_r, u_r = np.linalg.eigh(symmetrize(np.asarray(alpha_r, dtype=float)))
     p, q = d_l.size, d_r.size
-    prior = np.outer(d_l, d_r) + jitter
+    prior = np.outer(d_l, d_r)
     if not prior.min() > 0:
         raise FactorizationError(
-            "prior precision alpha_r kron alpha_l + jitter I is not positive "
-            "definite")
+            "prior precision alpha_r kron alpha_l is not positive definite")
     idx, dense = _operator_parts(a)
     observed = dense is not None or 2 * idx.size <= p * q
     if dense is not None:

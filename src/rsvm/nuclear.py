@@ -19,8 +19,9 @@ from .sensing import MeasurementOperator, ProblemInstance
 
 @dataclass(frozen=True)
 class NuclearConfig:
-    delta: float = 0.0
-    lambda_bracket: tuple[float, float] | None = None
+    """FISTA and bisection tolerances and iteration caps; the constraint
+    radius is an argument of :func:`solve_constrained`."""
+
     fista_tol: float = 1e-8
     bisect_tol: float = 1e-3
     max_fista_iter: int = 2000
@@ -152,7 +153,7 @@ def delta_from_sigma(m: int, sigma_n: float) -> float:
     return float(sigma_n * np.sqrt(m + np.sqrt(8.0 * m)))
 
 
-def solve_constrained(inst: ProblemInstance, delta: float | None = None,
+def solve_constrained(inst: ProblemInstance, delta: float,
                       cfg: NuclearConfig | None = None) -> Estimate:
     """Tune the Lagrangian weight to meet the residual constraint.
 
@@ -165,7 +166,7 @@ def solve_constrained(inst: ProblemInstance, delta: float | None = None,
     unconverged unless it meets the tolerance.
     """
     cfg = cfg or NuclearConfig()
-    delta = cfg.delta if delta is None else float(delta)
+    delta = float(delta)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     p, q = inst.p, inst.q
@@ -178,12 +179,9 @@ def solve_constrained(inst: ProblemInstance, delta: float | None = None,
     if y_norm <= delta:
         return _estimate(np.zeros((p, q)), 0, True)
 
-    if cfg.lambda_bracket is not None:
-        lo, hi = cfg.lambda_bracket
-    else:
-        lo = 1e-8
-        hi = 2.0 * float(np.linalg.norm(inst.operator.apply_adjoint(inst.y)))
-        hi = max(hi, 2.0 * lo)
+    lo = 1e-8
+    hi = 2.0 * float(np.linalg.norm(inst.operator.apply_adjoint(inst.y)))
+    hi = max(hi, 2.0 * lo)
     lip = largest_gram_eigenvalue(inst.operator)
     total_iters = 0
 

@@ -33,7 +33,7 @@ def _clip_psd(m: np.ndarray) -> np.ndarray:
 
 def update_precision(state: SolverState,
                      hyper: Hyperparameters) -> PrecisionState:
-    """alpha <- nu_eff (2 X alpha X + clip_psd(pair) + eps I)^{-1}.
+    """alpha <- (2 X alpha X + clip_psd(pair) + eps I)^{-1}.
 
     pair = state.sigma.contract_right(alpha) + contract_left(alpha), the
     covariance contracted against alpha on both sides, is positive
@@ -46,8 +46,7 @@ def update_precision(state: SolverState,
     pair = state.sigma.contract_right(alpha) + state.sigma.contract_left(alpha)
     mat = 2.0 * x @ alpha @ x + _clip_psd(pair) \
         + hyper.epsilon_scale * np.eye(x.shape[0])
-    alpha = symmetrize(hyper.nu_eff * spd_inverse(symmetrize(mat),
-                                                  hyper.jitter))
+    alpha = symmetrize(spd_inverse(symmetrize(mat)))
     return PrecisionState(alpha, alpha, prec.beta)
 
 
@@ -66,7 +65,7 @@ def solve_symmetric(inst: ProblemInstance,
         raise ValueError(f"symmetric solver needs p == q, got {inst.p}x{inst.q}")
 
     def posterior(state):
-        x, sigma = map_estimate(state, inst, hyper.jitter)
+        x, sigma = map_estimate(state, inst)
         return symmetrize(x), sigma
 
     return iterate(inst, hyper, posterior,

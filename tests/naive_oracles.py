@@ -31,13 +31,9 @@ def naive_sigma_left(sigma, alpha_l, p, q):
     return out
 
 
-def dense_map_solve(alpha_l, alpha_r, a_dense, y, beta, jitter=0.0):
-    """Solve the normal equations of the posterior mode with plain numpy.
-
-    ``jitter`` is added to the diagonal of the prior precision.
-    """
-    mat = np.kron(alpha_r, alpha_l) + jitter * np.eye(a_dense.shape[1]) \
-        + beta * (a_dense.T @ a_dense)
+def dense_map_solve(alpha_l, alpha_r, a_dense, y, beta):
+    """Solve the normal equations of the posterior mode with plain numpy."""
+    mat = np.kron(alpha_r, alpha_l) + beta * (a_dense.T @ a_dense)
     return np.linalg.solve(mat, beta * (a_dense.T @ y))
 
 

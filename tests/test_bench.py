@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from rsvm.bench import (
 from rsvm.cli import main
 from rsvm.core import Hyperparameters, SolverDivergenceError
 from rsvm.kronops import FactorizationError
+from rsvm.nuclear import NuclearConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(**overrides):
@@ -317,6 +323,59 @@ class TestCli:
         cfg_path.write_text("not json at all")
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("section", [
+        {"hyper": {"jitter": 1e-8}},
+        {"hyper": {"tol": -1}},
+        {"nuclear_cfg": {"lambda_bracket": [1e-3, 1]}},
+        {"nuclear_cfg": {"fista_tol": 0}},
+    ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
+            "nuclear-invalid"])
+    def test_config_section_error_exit_code(self, tmp_path, capsys, section):
+        config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
+                  "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
+                  "algorithms": ["rsvm"], **section}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rows.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + next(iter(section)))
+
+    @pytest.mark.parametrize("defect", ["nan-y", "no-kind", "no-file"])
+    def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
+                     "--out", str(inst_path)]) == 0
+        if defect == "no-file":
+            inst_path = tmp_path / "missing.json"
+        else:
+            doc = json.loads(inst_path.read_text())
+            if defect == "nan-y":
+                doc["y"][0] = float("nan")
+            else:
+                del doc["kind"]
+            inst_path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(inst_path),
+                     "--algorithm", "rsvm"]) == 1
+        assert "config error: cannot load instance" in capsys.readouterr().err
+
+    def test_readme_config_loads(self, tmp_path):
+        # the README's sweep config and its key lists track the dataclasses
+        text = README.read_text()
+        blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+        assert len(blocks) == 1
+        cfg_path = tmp_path / "readme.json"
+        cfg_path.write_text(blocks[0])
+        cfg = cli._load_config(cfg_path, {})
+        assert cfg.hyper is not None
+        for section, cls in (("hyper", Hyperparameters),
+                             ("nuclear_cfg", NuclearConfig)):
+            rows = [line for line in text.splitlines()
+                    if line.startswith(f"| `{section}`")]
+            assert len(rows) == 1
+            listed = set(re.findall(r"`(\w+)`", rows[0].split("|")[-2]))
+            assert listed == {f.name for f in dataclasses.fields(cls)}
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["sweep", "--nonexistent-flag", "x"]) == 1

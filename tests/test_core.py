@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsvm import core
 from rsvm.core import (
@@ -244,6 +246,34 @@ class TestBalancePrecisions:
             nl = np.linalg.norm(after.alpha_l, "fro")
             nr = np.linalg.norm(after.alpha_r, "fro")
             assert abs(nl - nr) <= 1e-8 * nr
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), q=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+           log_nu=st.floats(-3.0, 3.0))
+    def test_balancing_property(self, p, q, seed, log_scale, log_nu):
+        # After balancing, tr(alpha_l^-1) tr(alpha_r^-1) = ||X||_F^2 and
+        # ||alpha_l||_F = ||alpha_r||_F; a common factor nu on both inputs
+        # gives the same balanced pair, so no scale on the precision
+        # updates can change an estimate.
+        rng = np.random.default_rng(seed)
+        prec = PrecisionState(random_spd(rng, p, 10.0 ** log_scale),
+                              random_spd(rng, q), 1.0)
+        x = rng.standard_normal((p, q))
+        after = balance_precisions(prec, x)
+        fx2 = np.linalg.norm(x, "fro") ** 2
+        prod = (np.trace(np.linalg.inv(after.alpha_l))
+                * np.trace(np.linalg.inv(after.alpha_r)))
+        assert abs(prod - fx2) <= 1e-10 * fx2
+        nl = np.linalg.norm(after.alpha_l, "fro")
+        nr = np.linalg.norm(after.alpha_r, "fro")
+        assert abs(nl - nr) <= 1e-10 * nr
+        nu = 10.0 ** log_nu
+        scaled = balance_precisions(
+            PrecisionState(nu * prec.alpha_l, nu * prec.alpha_r, 1.0), x)
+        for got, ref in ((scaled.alpha_l, after.alpha_l),
+                         (scaled.alpha_r, after.alpha_r)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_zero_estimate_skips(self):
         prec = PrecisionState(2.0 * np.eye(2), np.eye(3), 1.0)

@@ -61,13 +61,13 @@ def assert_close(got, ref):
        kind=st.sampled_from(["completion", "gaussian"]),
        m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        log_spread=st.floats(0.0, 6.0), share=st.floats(0.0, 1.0),
-       log_beta=st.floats(-2.0, 2.0), log_jitter=st.floats(-8.0, 0.0))
+       log_beta=st.floats(-2.0, 2.0))
 @example(p=4, q=5, kind="completion", m_frac=0.0, seed=1, log_spread=6.0,
-         share=0.5, log_beta=0.0, log_jitter=-8.0)  # m = 1
+         share=0.5, log_beta=0.0)  # m = 1
 @example(p=4, q=5, kind="completion", m_frac=1.0, seed=2, log_spread=6.0,
-         share=0.5, log_beta=0.0, log_jitter=-8.0)  # m = pq, no Woodbury rows
+         share=0.5, log_beta=0.0)  # m = pq, no Woodbury rows
 def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
-                                  log_beta, log_jitter):
+                                  log_beta):
     # Observed-side and missing-side completion, and Gaussian sensing. The
     # prior precision alpha_r kron alpha_l has eigenvalue spread up to 1e6,
     # split between the two factors by ``share``.
@@ -81,11 +81,10 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
         k = m
     al = spread_spd(rng, p, share * log_spread)
     ar = spread_spd(rng, q, (1.0 - share) * log_spread)
-    beta, jitter = 10.0 ** log_beta, 10.0 ** log_jitter
+    beta = 10.0 ** log_beta
 
-    sigma = structured_covariance(al, ar, op, beta, jitter)
-    ref = posterior_covariance(al, ar, op, beta, method="direct",
-                               jitter=jitter)
+    sigma = structured_covariance(al, ar, op, beta)
+    ref = posterior_covariance(al, ar, op, beta, method="direct")
     assert sigma.rows.shape == (p, k, q)
     assert_close(sigma.dense(), ref)
     assert_close(sigma.contract_right(ar), trace_contract_right(ref, ar))
@@ -95,7 +94,7 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
     y = rng.standard_normal(m)
     x_hat = beta * sigma.apply(op.adjoint(y))
     assert_close(vec(x_hat),
-                 dense_map_solve(al, ar, op.dense(), y, beta, jitter))
+                 dense_map_solve(al, ar, op.dense(), y, beta))
 
 
 class TestStructuredCovariance:

@@ -26,7 +26,7 @@ class TestUpdatePrecision:
         state = sym_state(np.zeros((p, p)), np.eye(p), np.zeros((p * p, p * p)))
         out = update_precision(state, hyper)
         np.testing.assert_allclose(
-            out.alpha_l, (hyper.nu_eff / hyper.epsilon_scale) * np.eye(p),
+            out.alpha_l, (1.0 / hyper.epsilon_scale) * np.eye(p),
             rtol=1e-10)
         assert out.alpha_r is out.alpha_l
 
