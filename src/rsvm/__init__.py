@@ -34,6 +34,7 @@ from .core import (
 )
 from .kronops import (
     BlockCovariance,
+    CompletionCovariance,
     FactorizationError,
     KronSum,
     StructuredCovariance,

@@ -28,6 +28,7 @@ from .core import (
 )
 from .kronops import (
     BlockCovariance,
+    CompletionCovariance,
     StructuredCovariance,
     structured_covariance,
     vec,
@@ -84,8 +85,8 @@ def _block_operator(op: MeasurementOperator, flat: np.ndarray):
     return np.linalg.qr(op.matrix[:, flat], mode="r")
 
 
-def _block_covariance(prec: PrecisionState, cols: np.ndarray,
-                      op) -> StructuredCovariance:
+def _block_covariance(prec: PrecisionState, cols: np.ndarray, op
+                      ) -> StructuredCovariance | CompletionCovariance:
     """Local posterior covariance of the columns ``cols``, the rest fixed."""
     return structured_covariance(prec.alpha_l,
                                  prec.alpha_r[np.ix_(cols, cols)], op,
@@ -106,7 +107,8 @@ def _block_rhs(inst: ProblemInstance, x: np.ndarray, prec: PrecisionState,
 
 def block_map_update(state: SolverState, inst: ProblemInstance,
                      part: BlockPartition, i: int
-                     ) -> tuple[np.ndarray, StructuredCovariance]:
+                     ) -> tuple[np.ndarray,
+                                StructuredCovariance | CompletionCovariance]:
     """One conditional block update given the rest of the current estimate.
 
     Returns the block estimate (vec of its p x w columns) and its local

@@ -146,6 +146,9 @@ def _load_config(path, overrides) -> ExperimentConfig:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, "
+                          f"not {type(doc).__name__}")
     hyper_doc = doc.pop("hyper", None)
     hyper = None if hyper_doc is None \
         else _section(Hyperparameters, "hyper", hyper_doc)

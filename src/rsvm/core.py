@@ -9,11 +9,16 @@ followed by closed-form updates of the left/right precision matrices, a
 rescaling step keeping the two precisions commensurate, and a gamma-prior
 update of the noise precision. Iterated to a relative-change tolerance.
 
-Sigma is never formed: :func:`map_estimate` returns it as a
-:class:`rsvm.kronops.StructuredCovariance`, diagonal in the eigenbasis of
-alpha_r kron alpha_l plus a Woodbury term over the k = min(m, pq - m)
-observed or missing entries (k = m for dense sensing). The precision and
-noise updates read any covariance through three methods,
+Sigma is never formed: :func:`map_estimate` returns it in one of the two
+Woodbury forms of :func:`rsvm.kronops.structured_covariance`. A completion
+mask observing at most half the entries gives a
+:class:`rsvm.kronops.CompletionCovariance`, the prior covariance minus a
+term over the m observed entries, each a rank-one p x q matrix
+(O(m^3 + m^2 (p + q)) per iteration). Dense sensing and the missing side of
+completion give a :class:`rsvm.kronops.StructuredCovariance`, diagonal in
+the eigenbasis of alpha_r kron alpha_l plus a term over the k = m
+measurements or pq - m missing entries (O(k^2 pq + k pq (p + q))). The
+precision and noise updates read any covariance through three methods,
 ``contract_right``, ``contract_left`` and ``trace_quadratic``; the
 accelerated solver's block-diagonal :class:`rsvm.kronops.BlockCovariance`
 offers the same three.
@@ -22,12 +27,14 @@ offers the same three.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kronops import (
     BlockCovariance,
+    CompletionCovariance,
     StructuredCovariance,
     spd_inverse,
     structured_covariance,
@@ -36,6 +43,13 @@ from .kronops import (
     vec,
 )
 from .sensing import ProblemInstance
+
+
+def require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,7 @@ class Hyperparameters:
             raise ValueError("epsilon_scale must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        require_count("max_iter", self.max_iter)
 
 
 @dataclass
@@ -82,7 +95,7 @@ class PrecisionState:
 @dataclass
 class SolverState:
     x_hat: np.ndarray
-    sigma: StructuredCovariance | BlockCovariance | None
+    sigma: StructuredCovariance | CompletionCovariance | BlockCovariance | None
     precisions: PrecisionState
     iter: int = 0
     history: list = field(default_factory=list)
@@ -124,7 +137,8 @@ def init_state(inst: ProblemInstance, hyper: Hyperparameters) -> SolverState:
 
 
 def map_estimate(state: SolverState, inst: ProblemInstance
-                 ) -> tuple[np.ndarray, StructuredCovariance]:
+                 ) -> tuple[np.ndarray,
+                            StructuredCovariance | CompletionCovariance]:
     """Posterior mode and structured covariance for the current precisions."""
     prec = state.precisions
     sigma = structured_covariance(prec.alpha_l, prec.alpha_r, inst.operator,

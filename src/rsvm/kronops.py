@@ -10,23 +10,38 @@ Conventions used throughout the package:
   schedule of trace-scaled diagonal jitter (see :func:`_spd_factor`).
 
 No solver forms the pq x pq posterior covariance
-Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}. With
-alpha_l = U_l D_l U_l^T, alpha_r = U_r D_r U_r^T and E = U_r kron U_l,
-:func:`structured_covariance` keeps it as
+Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}.
+:func:`structured_covariance` returns it in one of two Woodbury forms,
+each over k index rows (m measurements, or whichever of the m observed
+and pq - m missing entries of a completion mask are fewer):
 
-    Sigma = E [diag(lam) +/- W^T K W] E^T = E [diag(lam) +/- Z^T Z] E^T,
+* :class:`CompletionCovariance`, for a completion mask with m <= pq/2
+  (observed side). In the original basis, with prior covariances
+  C_l = alpha_l^{-1} and C_r = alpha_r^{-1},
 
-a diagonal in the Kronecker eigenbasis plus a Woodbury correction over
-k index rows, each row W_t = lam * (U_l^T A_t U_r) a p x q matrix, and
-Z = C^{-1} W with C C^T = K^{-1}. For dense sensing the rows are the m
-measurements (sign -). For completion they are the m observed entries
-(sign -) or the pq - m missing ones (sign +), whichever is fewer. Every
-consumer (posterior mean, the two trace contractions, tr(A Sigma A^T))
-reads that form in O(k pq (p + q) + k^2 pq) time and O(k pq) memory.
-:class:`BlockCovariance` holds one structured form per column block (the
-prior restricted to column block b is alpha_r[b, b] kron alpha_l). Both
-offer the three reads the solvers make: ``contract_right``,
-``contract_left`` and ``trace_quadratic``. The dense functions
+      Sigma = (C_r kron C_l) - V K V^T,  V_t = vec(C_l[:, i_t] C_r[:, j_t]^T),
+
+  one rank-one p x q matrix per observed entry (i_t, j_t). The k x k
+  Gram matrix is a gather, K = (C_l[I, I] o C_r[J, J] + I/beta)^{-1}
+  (o the Hadamard product), and every read is a k x k Hadamard product
+  between the p x k and q x k sides: O(k^3 + k^2 (p + q)) time and
+  O(k^2 + k (p + q)) memory, nothing k x pq.
+* :class:`StructuredCovariance`, for dense sensing (sign -) and for the
+  missing side of completion, m > pq/2 (sign +). With
+  alpha_l = U_l D_l U_l^T, alpha_r = U_r D_r U_r^T and E = U_r kron U_l,
+
+      Sigma = E [diag(lam) +/- W^T K W] E^T = E [diag(lam) +/- Z^T Z] E^T,
+
+  a diagonal in the Kronecker eigenbasis plus a correction whose rows
+  W_t = lam * (U_l^T A_t U_r) are p x q matrices, and Z = C^{-1} W with
+  C C^T = K^{-1}. Its reads cost O(k pq (p + q) + k^2 pq) time and
+  O(k pq) memory.
+
+Both offer the posterior mean (``apply``) and the three reads the solver
+updates make: ``contract_right``, ``contract_left`` and
+``trace_quadratic``. :class:`BlockCovariance` holds one form per column
+block (the prior restricted to column block b is alpha_r[b, b] kron
+alpha_l) and offers the same three reads. The dense functions
 (:func:`posterior_covariance`, ``trace_contract_*``,
 :func:`nearest_kron_sum`) are test references; no solver calls them.
 """
@@ -227,7 +242,7 @@ class StructuredCovariance:
     u_r: np.ndarray      # q x q eigenvectors of alpha_r
     lam: np.ndarray      # p x q diagonal of the base term
     rows: np.ndarray     # p x k x q rows of the low-rank term
-    sign: float          # -1 over observed rows, +1 over missing ones
+    sign: float          # -1 over measurements, +1 over missing entries
     quadratic: float     # tr(A Sigma A^T)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -275,74 +290,160 @@ class StructuredCovariance:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
+@dataclass
+class CompletionCovariance:
+    """Sigma = (C_r kron C_l) - V K V^T over the observed entries of a
+    completion mask, in the original basis.
+
+    Built by :func:`structured_covariance`. ``left[:, t]`` = C_l[:, i_t]
+    and ``right[:, t]`` = C_r[:, j_t] for the t-th observed entry
+    (i_t, j_t), so V_t = vec(left[:, t] right[:, t]^T). Every read is a
+    k x k Hadamard product between the two sides; :meth:`dense` (also
+    ``np.asarray``) materializes Sigma.
+    """
+
+    c_l: np.ndarray      # p x p prior covariance alpha_l^{-1}
+    c_r: np.ndarray      # q x q prior covariance alpha_r^{-1}
+    i: np.ndarray        # row of each observed entry (k,)
+    j: np.ndarray        # column of each observed entry (k,)
+    left: np.ndarray     # p x k, C_l[:, i]
+    right: np.ndarray    # q x k, C_r[:, j]
+    kmat: np.ndarray     # k x k, (C_l[I, I] o C_r[J, J] + I/beta)^{-1}
+    quadratic: float     # tr(A Sigma A^T)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """unvec(Sigma vec(Y)) for a p x q matrix Y."""
+        h = self.c_l @ np.asarray(y, dtype=float) @ self.c_r
+        coef = self.kmat @ h[self.i, self.j]
+        return h - (self.left * coef) @ self.right.T
+
+    def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
+        """Same p x p result as ``trace_contract_right(dense(), alpha_r)``."""
+        a = np.asarray(alpha_r, dtype=float)
+        m = self.right.T @ a @ self.right
+        return float(np.vdot(self.c_r, a)) * self.c_l \
+            - (self.left @ (self.kmat * m)) @ self.left.T
+
+    def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
+        """Same q x q result as ``trace_contract_left(dense(), alpha_l)``."""
+        a = np.asarray(alpha_l, dtype=float)
+        m = self.left.T @ a @ self.left
+        return float(np.vdot(self.c_l, a)) * self.c_r \
+            - (self.right @ (self.kmat * m)) @ self.right.T
+
+    def trace_quadratic(self) -> float:
+        """tr(A Sigma A^T) for the mask Sigma was built from."""
+        return self.quadratic
+
+    def dense(self) -> np.ndarray:
+        """The pq x pq matrix (column-major vec convention)."""
+        (p, k), q = self.left.shape, self.c_r.shape[0]
+        v = (self.right[:, None, :] * self.left[None, :, :]).reshape(p * q, k)
+        return symmetrize(np.kron(self.c_r, self.c_l) - v @ self.kmat @ v.T)
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _completion_covariance(alpha_l: np.ndarray, alpha_r: np.ndarray,
+                           idx: np.ndarray, beta: float
+                           ) -> CompletionCovariance:
+    """:class:`CompletionCovariance` for the observed vec indices ``idx``.
+
+    G = C_l[I, I] o C_r[J, J] is the prior covariance among the observed
+    entries, and tr(A Sigma A^T) = tr(G - G K G) = <G, K> / beta.
+    """
+    c_l, c_r = spd_inverse(alpha_l), spd_inverse(alpha_r)
+    i, j = idx % c_l.shape[0], idx // c_l.shape[0]
+    gram = c_l[np.ix_(i, i)] * c_r[np.ix_(j, j)]
+    kinv = gram.copy()
+    kinv[np.diag_indices(idx.size)] += 1.0 / beta
+    kmat = spd_inverse(kinv) if idx.size else kinv
+    return CompletionCovariance(c_l, c_r, i, j, c_l[:, i], c_r[:, j], kmat,
+                                float(np.vdot(gram, kmat)) / beta)
+
+
 def structured_covariance(
     alpha_l: np.ndarray,
     alpha_r: np.ndarray,
     a,
     beta: float,
-) -> StructuredCovariance:
+) -> StructuredCovariance | CompletionCovariance:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} in
-    structured form (see the module docstring).
+    one of the two Woodbury forms of the module docstring.
 
     ``a`` is anything :func:`posterior_covariance` accepts; an index
-    array may be empty.
-    D = d_l d_r^T holds the prior precision's eigenvalues and the
-    atoms Ah_t = U_l^T A_t U_r the Woodbury index rows in the eigenbasis.
+    array may be empty. A completion mask observing at most half the
+    entries gives a :class:`CompletionCovariance` over the m observed
+    entries: O(k^3 + k^2 (p + q)) to build and read. Dense sensing and
+    the missing side of completion (m > pq/2) give a
+    :class:`StructuredCovariance` over k = m measurements or the pq - m
+    missing entries: O(k^2 pq + k pq (p + q)). Either raises
+    :class:`FactorizationError` on a prior precision that is not positive
+    definite.
 
-    * Observed rows (the m measurements; unit matrices for completion):
-      lam = 1/D, K^{-1} = G + I/beta with G_ts = <Ah_t, lam * Ah_s>, sign -.
-    * Missing rows (completion with m > pq - m, the pq - m unobserved
-      entries): lam = 1/(D + beta), K^{-1} = <Ah_t, w * Ah_s> with
-      w = D lam / beta, which equals I/beta - <Ah_t, lam * Ah_s> without
-      the subtraction, sign +.
+    In the eigenbasis form, D = d_l d_r^T holds the prior precision's
+    eigenvalues and the atoms Ah_t = U_l^T A_t U_r the Woodbury index rows
+    in the eigenbasis.
+
+    * Measurements (dense sensing): lam = 1/D,
+      K^{-1} = G + I/beta with G_ts = <Ah_t, lam * Ah_s>, sign -.
+    * Missing entries (unit atoms): lam = 1/(D + beta),
+      K^{-1} = <Ah_t, w * Ah_s> with w = D lam / beta, which equals
+      I/beta - <Ah_t, lam * Ah_s> without the subtraction, sign +.
 
     The Gram part is B B^T with B = sqrt(lam or w) * Ah. With C the
     Cholesky factor of K^{-1} (the jitter schedule of :func:`spd_inverse`)
     the rows are Z = C^{-1} (lam * Ah) = (C^{-1} B) * lam / sqrt(lam or w):
-    one triangular solve, no k x k inverse.
+    one triangular solve, no k x k inverse. B and Z overwrite the atoms'
+    buffer; only the final p x k x q transpose copies it.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    idx, dense = _operator_parts(a)
+    p, q = np.shape(alpha_l)[0], np.shape(alpha_r)[0]
+    sensing = dense is not None
+    if not sensing and 2 * idx.size <= p * q:
+        return _completion_covariance(alpha_l, alpha_r, idx, beta)
     d_l, u_l = np.linalg.eigh(symmetrize(np.asarray(alpha_l, dtype=float)))
     d_r, u_r = np.linalg.eigh(symmetrize(np.asarray(alpha_r, dtype=float)))
-    p, q = d_l.size, d_r.size
     prior = np.outer(d_l, d_r)
     if not prior.min() > 0:
         raise FactorizationError(
             "prior precision alpha_r kron alpha_l is not positive definite")
-    idx, dense = _operator_parts(a)
-    observed = dense is not None or 2 * idx.size <= p * q
-    if dense is not None:
+    if sensing:
         atoms = u_l.T @ dense.reshape(-1, q, p).transpose(0, 2, 1) @ u_r
     else:
-        if not observed:
-            missing = np.ones(p * q, dtype=bool)
-            missing[idx] = False
-            idx = np.nonzero(missing)[0]
+        missing = np.ones(p * q, dtype=bool)
+        missing[idx] = False
+        idx = np.nonzero(missing)[0]
         atoms = u_l[idx % p][:, :, None] * u_r[idx // p][:, None, :]
     k = atoms.shape[0]
 
-    lam = 1.0 / prior if observed else 1.0 / (prior + beta)
-    root = np.sqrt(lam if observed else prior * lam / beta)
-    b = (atoms * root).reshape(k, p * q)
+    lam = 1.0 / prior if sensing else 1.0 / (prior + beta)
+    root = np.sqrt(lam if sensing else prior * lam / beta)
+    atoms *= root
+    b = atoms.reshape(k, p * q)
     kinv = b @ b.T
-    if observed:
+    if sensing:
         kinv[np.diag_indices(k)] += 1.0 / beta
     c, _ = _spd_factor(kinv)
     # C^{-1} B as the right-sided solve Y^T C^T = B^T on the Fortran-ordered
-    # view B^T, which leaves Y C-ordered.
+    # view B^T, in place, which leaves Y C-ordered.
     y = scipy.linalg.blas.dtrsm(1.0, c, b.T, side=1, lower=1, trans_a=1,
                                 overwrite_b=1).T.reshape(k, p, q)
-    if observed:
+    if sensing:
         # tr(A Sigma A^T) = tr(G K) / beta = ||C^{-1} B||^2 / beta, B B^T = G
         quadratic = float(np.vdot(y, y)) / beta
     else:
         # tr Sigma minus the missing entries' variances
         quadratic = float(lam.sum()) \
             - float(np.vdot(np.einsum("tij,tij->ij", y, y), lam))
-    rows = np.ascontiguousarray((y * (lam / root)).transpose(1, 0, 2))
+    y *= lam / root
+    rows = np.ascontiguousarray(y.transpose(1, 0, 2))
     return StructuredCovariance(u_l, u_r, lam, rows,
-                                -1.0 if observed else 1.0, quadratic)
+                                -1.0 if sensing else 1.0, quadratic)
 
 
 @dataclass
@@ -352,7 +453,7 @@ class BlockCovariance:
     alpha_r[b, b] kron alpha_l; entries across groups are zero."""
 
     columns: list[np.ndarray]
-    blocks: list[StructuredCovariance]
+    blocks: list[StructuredCovariance | CompletionCovariance]
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
         """Same p x p result as ``trace_contract_right`` on the dense Sigma."""

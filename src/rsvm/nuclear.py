@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate, effective_rank
+from .core import Estimate, effective_rank, require_count
 from .kronops import unvec, vec
 from .sensing import MeasurementOperator, ProblemInstance
 
@@ -30,6 +30,8 @@ class NuclearConfig:
     def __post_init__(self):
         if self.fista_tol <= 0 or self.bisect_tol <= 0:
             raise ValueError("tolerances must be positive")
+        require_count("max_fista_iter", self.max_fista_iter)
+        require_count("max_bisect_iter", self.max_bisect_iter)
 
 
 def nuclear_norm(x: np.ndarray) -> float:

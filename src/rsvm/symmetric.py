@@ -4,8 +4,9 @@ The left and right singular vectors of a symmetric matrix coincide up to
 sign, so one precision matrix serves both sides. The solver runs the full
 solver's loop (:func:`rsvm.core.iterate`) with that precision as both the
 left and the right one. Its precision update contracts the structured
-posterior covariance (:class:`rsvm.kronops.StructuredCovariance`) against
-alpha on both sides, without forming the p^2 x p^2 matrix.
+posterior covariance (either form of
+:func:`rsvm.kronops.structured_covariance`) against alpha on both sides,
+without forming the p^2 x p^2 matrix.
 """
 
 from __future__ import annotations

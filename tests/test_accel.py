@@ -233,9 +233,11 @@ class TestSolveAccelerated:
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
     def test_smaller_blocks_fewer_woodbury_rows(self):
-        # the inner solve of a block costs O(k^2 p w) for its k Woodbury
-        # rows; six blocks of three columns keep every k below the single
-        # all-column block's min(m, pq - m)
+        # a block's covariance costs O(k^3 + k^2 (p + w)) over its k
+        # observed entries, or O(k^2 p w) over its k missing ones (this
+        # instance: m/pq 0.7, the missing side); six blocks of three
+        # columns keep every k below the single all-column block's
+        # min(m, pq - m)
         inst = noisy_instance(18, 18, 2, 227, 36)
         rng = np.random.default_rng(37)
         prec = PrecisionState(random_spd(rng, 18), random_spd(rng, 18), 1.0)

@@ -329,8 +329,10 @@ class TestCli:
         {"hyper": {"tol": -1}},
         {"nuclear_cfg": {"lambda_bracket": [1e-3, 1]}},
         {"nuclear_cfg": {"fista_tol": 0}},
+        {"hyper": {"max_iter": 2.5}},
+        {"nuclear_cfg": {"max_fista_iter": 0}},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
-            "nuclear-invalid"])
+            "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
                   "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
@@ -341,6 +343,14 @@ class TestCli:
                      "--out", str(tmp_path / "rows.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: " + next(iter(section)))
+
+    @pytest.mark.parametrize("doc", [[1], "completion", None, 3],
+                             ids=["list", "string", "null", "number"])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", ["nan-y", "no-kind", "no-file"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):

@@ -1,8 +1,9 @@
 """The structured posterior covariance against its dense references.
 
 ``posterior_covariance(method="direct")`` and ``dense_map_solve`` build and
-solve the pq x pq system; the structured form must reproduce them, and no
-solver may allocate a pq x pq array.
+solve the pq x pq system; both structured forms must reproduce them, no
+solver may allocate a pq x pq array, and the observed-side completion form
+allocates nothing k x pq.
 """
 
 import tracemalloc
@@ -23,8 +24,10 @@ from rsvm.core import (
     update_precisions,
 )
 from rsvm.kronops import (
+    CompletionCovariance,
     StructuredCovariance,
     posterior_covariance,
+    spd_inverse,
     structured_covariance,
     trace_contract_left,
     trace_contract_right,
@@ -75,17 +78,22 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
     rng = np.random.default_rng(seed)
     if kind == "completion":
         op = completion_operator(p, q, m, seed)
-        k = min(m, p * q - m)
     else:
         op = gaussian_operator(p, q, m, seed)
-        k = m
     al = spread_spd(rng, p, share * log_spread)
     ar = spread_spd(rng, q, (1.0 - share) * log_spread)
     beta = 10.0 ** log_beta
 
     sigma = structured_covariance(al, ar, op, beta)
     ref = posterior_covariance(al, ar, op, beta, method="direct")
-    assert sigma.rows.shape == (p, k, q)
+    if kind == "completion" and 2 * m <= p * q:
+        # observed side: one rank-one Woodbury row per observed entry
+        assert isinstance(sigma, CompletionCovariance)
+        assert sigma.kmat.shape == (m, m)
+    else:
+        k = m if kind == "gaussian" else p * q - m
+        assert isinstance(sigma, StructuredCovariance)
+        assert sigma.rows.shape == (p, k, q)
     assert_close(sigma.dense(), ref)
     assert_close(sigma.contract_right(ar), trace_contract_right(ref, ar))
     new_l = random_spd(rng, p)  # update_precisions contracts a new alpha_l
@@ -106,6 +114,24 @@ class TestStructuredCovariance:
                                    atol=1e-15)
         assert abs(sigma.trace_quadratic() - 3.0) <= 1e-15
 
+    def test_no_observed_entry_gives_prior(self):
+        # an accelerated block may observe nothing: Sigma = C_r kron C_l
+        rng = np.random.default_rng(7)
+        al, ar = random_spd(rng, 3), random_spd(rng, 2)
+        sigma = structured_covariance(al, ar, np.array([], dtype=int), 0.5)
+        assert isinstance(sigma, CompletionCovariance)
+        prior = np.kron(spd_inverse(ar), spd_inverse(al))
+        np.testing.assert_allclose(sigma.dense(), prior, rtol=1e-12)
+        np.testing.assert_allclose(sigma.contract_right(ar),
+                                   trace_contract_right(prior, ar),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(sigma.contract_left(al),
+                                   trace_contract_left(prior, al), rtol=1e-12)
+        assert sigma.trace_quadratic() == 0.0
+        y = rng.standard_normal((3, 2))
+        np.testing.assert_allclose(vec(sigma.apply(y)), prior @ vec(y),
+                                   rtol=1e-12)
+
     def test_indefinite_prior_rejected(self):
         op = completion_operator(2, 2, 2, 0)
         with pytest.raises(np.linalg.LinAlgError):
@@ -125,7 +151,9 @@ class TestStructuredCovariance:
         prec = PrecisionState(random_spd(rng, 3), random_spd(rng, 4), 1.3)
         state = SolverState(rng.standard_normal((3, 4)), None, prec)
         _, sigma = map_estimate(state, inst)
-        assert isinstance(sigma, StructuredCovariance)
+        # m = 3 of 12 is the observed side, m = 9 the missing side
+        assert isinstance(sigma, CompletionCovariance if m == 3
+                          else StructuredCovariance)
         dense = SolverState(state.x_hat,
                             DenseCovariance(sigma.dense(), op), prec)
         state.sigma = sigma
@@ -159,3 +187,24 @@ def test_solvers_allocate_nothing_pq_by_pq(m_frac, solver):
     finally:
         tracemalloc.stop()
     assert peak < (p * q) ** 2 * 8
+
+
+def test_observed_completion_allocates_nothing_k_by_pq():
+    # 30 x 30 at m/pq 0.1: the build, the mean and both contractions stay
+    # below one k x pq array (the eigenbasis form makes several)
+    p = q = 30
+    rng = np.random.default_rng(8)
+    op = completion_operator(p, q, (p * q) // 10, 9)
+    al, ar = random_spd(rng, p), random_spd(rng, q)
+    y = rng.standard_normal((p, q))
+    tracemalloc.start()
+    try:
+        sigma = structured_covariance(al, ar, op, 2.0)
+        sigma.apply(y)
+        sigma.contract_right(ar)
+        sigma.contract_left(al)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(sigma, CompletionCovariance)
+    assert peak < op.m * p * q * 8
