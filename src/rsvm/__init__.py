@@ -20,6 +20,7 @@ from .bench import (
 from .core import (
     Estimate,
     Hyperparameters,
+    IterationRecord,
     PrecisionState,
     SolverDivergenceError,
     SolverState,

@@ -128,15 +128,14 @@ DEFAULT_MAX_ITER = 30
 def solve_accelerated(inst: ProblemInstance,
                       hyper: Hyperparameters | None = None,
                       part: BlockPartition | None = None,
-                      k_sweeps: int = 3,
-                      trace_path=None) -> Estimate:
+                      k_sweeps: int = 3) -> Estimate:
     """Full solver with the block-descent inner loop.
 
     Posterior step: k_sweeps cyclic passes of exact block minimization
     (ascending block order), warm-started from the previous outer
     iteration, and the block-diagonal covariance. Precision step: the
     full-solver update on that covariance. See :func:`rsvm.core.iterate`
-    for the loop.
+    for the loop and the per-iteration records in ``Estimate.trace``.
 
     The block-diagonal approximation slows per-outer-iteration progress,
     so the default horizon is longer than the full solver's.
@@ -162,5 +161,4 @@ def solve_accelerated(inst: ProblemInstance,
         return x.copy(), BlockCovariance(part.columns, sigmas)
 
     return iterate(inst, hyper, posterior,
-                   lambda state: update_precisions(state, hyper),
-                   trace_path, extra=(("sweeps", k_sweeps),))
+                   lambda state: update_precisions(state, hyper))

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import accel, nuclear, symmetric
-from .core import Hyperparameters, SolverDivergenceError, solve
+from .core import (Hyperparameters, SolverDivergenceError, require_count,
+                   solve)
 from .kronops import FactorizationError
 from .sensing import (
     COMPLETION,
@@ -72,6 +73,11 @@ class ExperimentConfig:
             raise ConfigError("no algorithms selected")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        try:
+            for name in ("n_matrices", "n_measurements", "jobs"):
+                require_count(name, getattr(self, name))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         sweeps = [name for name in SWEEPABLE
                   if isinstance(getattr(self, name), (list, tuple))]
         if len(sweeps) != 1:

@@ -9,26 +9,19 @@ followed by closed-form updates of the left/right precision matrices, a
 rescaling step keeping the two precisions commensurate, and a gamma-prior
 update of the noise precision. Iterated to a relative-change tolerance.
 
-Sigma is never formed: :func:`map_estimate` returns it in one of the two
-Woodbury forms of :func:`rsvm.kronops.structured_covariance`. A completion
-mask observing at most half the entries gives a
-:class:`rsvm.kronops.CompletionCovariance`, the prior covariance minus a
-term over the m observed entries, each a rank-one p x q matrix
-(O(m^3 + m^2 (p + q)) per iteration). Dense sensing and the missing side of
-completion give a :class:`rsvm.kronops.StructuredCovariance`, diagonal in
-the eigenbasis of alpha_r kron alpha_l plus a term over the k = m
-measurements or pq - m missing entries (O(k^2 pq + k pq (p + q))). The
-precision and noise updates read any covariance through three methods,
-``contract_right``, ``contract_left`` and ``trace_quadratic``; the
-accelerated solver's block-diagonal :class:`rsvm.kronops.BlockCovariance`
-offers the same three.
+Sigma is never formed: :func:`map_estimate` returns it in a Woodbury form
+of :func:`rsvm.kronops.structured_covariance` (that module gives the forms
+and their costs). The updates read any covariance, the accelerated
+solver's :class:`rsvm.kronops.BlockCovariance` included, through
+``contract_right``, ``contract_left`` and ``trace_quadratic``. Every
+iteration is returned as an :class:`IterationRecord` in ``Estimate.trace``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +31,6 @@ from .kronops import (
     StructuredCovariance,
     spd_inverse,
     structured_covariance,
-    symmetrize,
     unvec,
     vec,
 )
@@ -97,19 +89,34 @@ class SolverState:
     x_hat: np.ndarray
     sigma: StructuredCovariance | CompletionCovariance | BlockCovariance | None
     precisions: PrecisionState
-    iter: int = 0
-    history: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """One iteration of :func:`iterate`, taken after its noise update.
+
+    X_0 = 0 and the denominator is floored at 1e-12, so the first
+    rel_change is ||X_1||_F / 1e-12 unless X_1 = 0.
+    """
+
+    iteration: int
+    rel_change: float     # ||X_k - X_{k-1}||_F / ||X_{k-1}||_F
+    neg_log_joint: float
+    beta: float           # noise precision
+    effective_rank: int   # of X_k
 
 
 @dataclass
 class Estimate:
-    """Solver output: point estimate plus convergence diagnostics."""
+    """Solver output: point estimate plus convergence diagnostics; the
+    Bayesian solvers' ``trace`` holds one record per iteration."""
 
     x_hat: np.ndarray
     effective_rank: int
     beta_hat: float
     iterations: int
     converged: bool
+    trace: tuple[IterationRecord, ...] = ()
 
 
 class SolverDivergenceError(RuntimeError):
@@ -159,7 +166,7 @@ def update_precisions(state: SolverState,
     al = spd_inverse(sigma.contract_right(prec.alpha_r)
                      + x @ prec.alpha_r @ x.T + eps * np.eye(p))
     ar = spd_inverse(sigma.contract_left(al) + x.T @ al @ x + eps * np.eye(q))
-    return PrecisionState(symmetrize(al), symmetrize(ar), prec.beta)
+    return PrecisionState(al, ar, prec.beta)
 
 
 def update_noise_precision(state: SolverState, inst: ProblemInstance,
@@ -215,79 +222,61 @@ def _require_finite(state: SolverState, it: int, what: str,
 
 
 def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
-            precisions, trace_path=None, extra=()) -> Estimate:
+            precisions) -> Estimate:
     """The iteration shared by the Bayesian solvers.
 
     Each iteration: posterior(state) -> (x_hat, sigma), precisions(state) ->
     PrecisionState, precision balancing, noise-precision update. Stops when
     the relative Frobenius change of the estimate drops below hyper.tol or
-    at hyper.max_iter. ``extra`` holds (column, value) pairs appended to
-    every trace row.
+    at hyper.max_iter. Every iteration is returned as an
+    :class:`IterationRecord` in ``Estimate.trace``.
 
     Raises SolverDivergenceError (with the offending state attached) if the
     estimate, a precision or the noise precision turns non-finite.
     """
     state = init_state(inst, hyper)
     x_prev = state.x_hat
-    converged = False
-    trace_fh = open(trace_path, "w") if trace_path is not None else None
-    if trace_fh:
-        cols = ["iter", "rel_change", "neg_log_joint", "beta", "effective_rank"]
-        trace_fh.write(",".join(cols + [name for name, _ in extra]) + "\n")
-    try:
-        for it in range(1, hyper.max_iter + 1):
-            x, sigma = posterior(state)
-            _require_finite(state, it, "estimate", np.isfinite(x).all())
-            state.x_hat, state.sigma = x, sigma
-            rel = float(np.linalg.norm(x - x_prev, "fro")
-                        / max(np.linalg.norm(x_prev, "fro"), 1e-12))
+    trace = []
+    for it in range(1, hyper.max_iter + 1):
+        x, sigma = posterior(state)
+        _require_finite(state, it, "estimate", np.isfinite(x).all())
+        state.x_hat, state.sigma = x, sigma
+        rel = float(np.linalg.norm(x - x_prev, "fro")
+                    / max(np.linalg.norm(x_prev, "fro"), 1e-12))
 
-            state.precisions = precisions(state)
-            prec = state.precisions
-            _require_finite(state, it, "precisions",
-                            np.isfinite(prec.alpha_l).all()
-                            and np.isfinite(prec.alpha_r).all())
-            state.precisions = balance_precisions(state.precisions, x)
-            state.precisions.beta = update_noise_precision(state, inst, hyper)
-            _require_finite(state, it, "noise precision",
-                            math.isfinite(state.precisions.beta))
-            state.iter = it
+        prec = state.precisions = precisions(state)
+        _require_finite(state, it, "precisions",
+                        np.isfinite(prec.alpha_l).all()
+                        and np.isfinite(prec.alpha_r).all())
+        state.precisions = balance_precisions(state.precisions, x)
+        state.precisions.beta = update_noise_precision(state, inst, hyper)
+        _require_finite(state, it, "noise precision",
+                        math.isfinite(state.precisions.beta))
 
-            obj = neg_log_joint(state, inst, hyper)
-            state.history.append((it, rel, obj))
-            if trace_fh:
-                vals = [str(it), f"{rel:.6g}", f"{obj:.6g}",
-                        f"{state.precisions.beta:.6g}", str(effective_rank(x))]
-                trace_fh.write(",".join(vals + [str(v) for _, v in extra])
-                               + "\n")
-            if rel < hyper.tol:
-                converged = True
-                break
-            x_prev = x
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    return Estimate(
-        x_hat=state.x_hat,
-        effective_rank=effective_rank(state.x_hat),
-        beta_hat=state.precisions.beta,
-        iterations=state.iter,
-        converged=converged,
-    )
+        trace.append(IterationRecord(it, rel,
+                                     neg_log_joint(state, inst, hyper),
+                                     state.precisions.beta, effective_rank(x)))
+        if rel < hyper.tol:
+            break
+        x_prev = x
+    last = trace[-1]
+    return Estimate(x_hat=state.x_hat, effective_rank=last.effective_rank,
+                    beta_hat=last.beta, iterations=len(trace),
+                    converged=last.rel_change < hyper.tol, trace=tuple(trace))
 
 
-def solve(inst: ProblemInstance, hyper: Hyperparameters | None = None,
-          trace_path=None) -> Estimate:
+def solve(inst: ProblemInstance,
+          hyper: Hyperparameters | None = None) -> Estimate:
     """Run the full solver until the estimate stabilizes.
 
     Posterior step: the exact posterior mode and covariance; precision step:
     the Gauss-Seidel left/right update. See :func:`iterate` for the loop,
-    its stopping rule and SolverDivergenceError.
+    its stopping rule, the per-iteration records in ``Estimate.trace`` and
+    SolverDivergenceError.
     """
     hyper = hyper or Hyperparameters()
     # The steps look map_estimate/update_precisions up at call time, so a
     # wrapper installed on the module attribute sees every call.
     return iterate(inst, hyper,
                    lambda state: map_estimate(state, inst),
-                   lambda state: update_precisions(state, hyper),
-                   trace_path)
+                   lambda state: update_precisions(state, hyper))

@@ -121,22 +121,27 @@ def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
 def _spd_factor(m: np.ndarray):
     """Cholesky factor (``cho_factor`` pair) of an SPD matrix.
 
-    Tries m itself first; on failure retries with f I added, then 10 f I and
-    100 f I, f = 1e-12 tr(m) / dim (1e-12 when that is not positive), then
-    raises :class:`FactorizationError`.
+    Tries (m + m^T)/2 first; on failure retries with f I added, then 10 f I
+    and 100 f I, f = 1e-12 tr(m) / dim (1e-12 when that is not positive),
+    then raises :class:`FactorizationError`. Each attempt symmetrizes m
+    into the same buffer and factors it in place; m is never written.
     """
-    m = symmetrize(np.asarray(m, dtype=float))
+    m = np.asarray(m, dtype=float)
     dim = m.shape[0]
-    eye = np.eye(dim)
     floor = 1e-12 * abs(float(np.trace(m))) / dim if dim else 0.0
     if floor <= 0.0:
         floor = 1e-12
+    buf = np.empty((dim, dim))
     for eps in [0.0] + [floor * 10.0**k for k in range(3)]:
-        try:
-            return scipy.linalg.cho_factor(m + eps * eye if eps else m,
-                                           lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
+        np.add(m, m.T, out=buf)
+        buf *= 0.5
+        if eps:
+            buf[np.diag_indices(dim)] += eps
+        # buf is symmetric, so its Fortran-ordered transpose is the matrix
+        _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=0,
+                                             overwrite_a=1)
+        if info == 0:
+            return buf.T, True
     raise FactorizationError(
         f"Cholesky factorization failed for dim {dim} after jitter "
         "escalation"
@@ -147,15 +152,22 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix via Cholesky.
 
     LAPACK dpotri on the factor of :func:`_spd_factor` (same jitter
-    schedule); raises :class:`FactorizationError` when it is exhausted.
+    schedule), in the factor's buffer; raises :class:`FactorizationError`
+    when the schedule is exhausted. The result is exactly symmetric.
     """
     c, _ = _spd_factor(m)
-    inv, info = scipy.linalg.lapack.dpotri(c, lower=True, overwrite_c=True)
+    _, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
-    # dpotri fills the lower triangle only; mirror it.
-    low = np.tril(inv)
-    return low + np.tril(low, -1).T
+    # dpotri fills the lower triangle of c, the upper one of t = c^T. Mirror
+    # it by row blocks: rows s:e of t precede rows e: in memory, so each
+    # block copy runs without a matrix-sized temporary.
+    t = c.T
+    for s in range(0, t.shape[0], 256):
+        d = t[s:s + 256, s:s + 256]
+        d[...] = np.triu(d) + np.triu(d, 1).T
+        t[s + 256:, s:s + 256] = t[s:s + 256, s + 256:].T
+    return t
 
 
 def spd_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

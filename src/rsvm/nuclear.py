@@ -94,13 +94,13 @@ def _prox_step(inst, x, step, lam):
     return cand, _objective(inst, cand, lam, nuc)
 
 
-def _fista(inst, lam, cfg, x0=None, lipschitz=None, history=None):
+def _fista(inst, lam, cfg, x0=None, lipschitz=None, objectives=None):
     """Monotone FISTA; returns (x, iterations, converged).
 
     If the extrapolated step would increase the objective, falls back to a
     plain proximal-gradient step from the previous iterate (backtracking
     the step if the power-iteration Lipschitz estimate was low) and resets
-    the momentum. ``history``, when given, collects the objective value of
+    the momentum. ``objectives``, when given, collects the objective value of
     every accepted iterate.
     """
     lip = largest_gram_eigenvalue(inst.operator) if lipschitz is None else lipschitz
@@ -111,8 +111,8 @@ def _fista(inst, lam, cfg, x0=None, lipschitz=None, history=None):
     z = x.copy()
     t = 1.0
     f = _objective(inst, x, lam, nuclear_norm(x))
-    if history is not None:
-        history.append(f)
+    if objectives is not None:
+        objectives.append(f)
     it = 0
     for it in range(1, cfg.max_fista_iter + 1):
         cand, f_cand = _prox_step(inst, z, step, lam)
@@ -129,8 +129,8 @@ def _fista(inst, lam, cfg, x0=None, lipschitz=None, history=None):
         z = cand + ((t - 1.0) / t_next) * (cand - x)
         rel = abs(f_cand - f) / max(abs(f), 1e-12)
         x, f, t = cand, f_cand, t_next
-        if history is not None:
-            history.append(f)
+        if objectives is not None:
+            objectives.append(f)
         if rel < cfg.fista_tol:
             return x, it, True
     return x, it, False

@@ -97,13 +97,6 @@ class MeasurementOperator:
                 self._dense = self.matrix
         return self._dense
 
-    def trace_quadratic(self, sigma: np.ndarray) -> float:
-        """tr(A sigma A^T) for a pq x pq covariance."""
-        if self.kind == COMPLETION:
-            return float(sigma[self.vec_indices, self.vec_indices].sum())
-        return float(np.einsum("ij,jk,ik->", self.matrix, sigma, self.matrix,
-                               optimize=True))
-
 
 @dataclass
 class ProblemInstance:

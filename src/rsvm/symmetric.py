@@ -47,19 +47,19 @@ def update_precision(state: SolverState,
     pair = state.sigma.contract_right(alpha) + state.sigma.contract_left(alpha)
     mat = 2.0 * x @ alpha @ x + _clip_psd(pair) \
         + hyper.epsilon_scale * np.eye(x.shape[0])
-    alpha = symmetrize(spd_inverse(symmetrize(mat)))
+    alpha = spd_inverse(mat)
     return PrecisionState(alpha, alpha, prec.beta)
 
 
 def solve_symmetric(inst: ProblemInstance,
-                    hyper: Hyperparameters | None = None,
-                    trace_path=None) -> Estimate:
+                    hyper: Hyperparameters | None = None) -> Estimate:
     """Iterate the single-precision solver on a square instance.
 
     Runs :func:`rsvm.core.iterate` with alpha held as both precisions, so
     balancing reduces to alpha -> alpha tr(alpha^-1) / ||X||_F. The
     estimate is projected onto symmetric matrices each iteration (Frobenius
     projection (X + X^T)/2); the precision step is :func:`update_precision`.
+    Every iteration is returned as a record in ``Estimate.trace``.
     """
     hyper = hyper or Hyperparameters()
     if inst.p != inst.q:
@@ -70,4 +70,4 @@ def solve_symmetric(inst: ProblemInstance,
         return symmetrize(x), sigma
 
     return iterate(inst, hyper, posterior,
-                   lambda state: update_precision(state, hyper), trace_path)
+                   lambda state: update_precision(state, hyper))

@@ -49,6 +49,12 @@ def dense_block_update(alpha_l, alpha_r, a_dense, y, beta, x_flat, idx):
     return cov @ rhs, cov
 
 
+def trace_quadratic(op, sigma):
+    """tr(A sigma A^T) for a measurement operator and a pq x pq covariance."""
+    a = op.dense()
+    return float(np.einsum("ij,jk,ik->", a, sigma, a, optimize=True))
+
+
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T) + scale * n * np.eye(n)
@@ -71,4 +77,4 @@ class DenseCovariance:
         return trace_contract_left(self.sigma, alpha_l)
 
     def trace_quadratic(self):
-        return self.op.trace_quadratic(self.sigma)
+        return trace_quadratic(self.op, self.sigma)

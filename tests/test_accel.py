@@ -195,16 +195,6 @@ class TestSolveAccelerated:
         db_full = 10 * np.log10(np.sum((x - est_full.x_hat) ** 2) / np.sum(x * x))
         assert db_acc < db_full + 3.0
 
-    def test_trace_includes_sweeps_column(self, tmp_path):
-        inst = noisy_instance(3, 4, 1, 8, 31)
-        path = tmp_path / "trace.csv"
-        solve_accelerated(inst, Hyperparameters(max_iter=4),
-                          partition_blocks(3, 4, "columns", 2),
-                          k_sweeps=2, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].endswith(",sweeps")
-        assert len(lines) == 5
-
     def test_unobserved_column_block(self):
         # the last column block (columns 4-5) has no observed entry
         p, q = 4, 6

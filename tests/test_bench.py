@@ -331,8 +331,12 @@ class TestCli:
         {"nuclear_cfg": {"fista_tol": 0}},
         {"hyper": {"max_iter": 2.5}},
         {"nuclear_cfg": {"max_fista_iter": 0}},
+        {"n_matrices": 2.5},
+        {"n_measurements": 0},
+        {"jobs": -3},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
-            "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap"])
+            "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap",
+            "fractional-matrices", "zero-measurements", "negative-jobs"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
                   "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsvm import core
+from rsvm.accel import solve_accelerated
 from rsvm.core import (
     Hyperparameters,
     PrecisionState,
@@ -28,6 +29,7 @@ from rsvm.sensing import (
     measure,
     noise_sigma_for_snr,
 )
+from rsvm.symmetric import solve_symmetric
 
 from naive_oracles import (
     DenseCovariance,
@@ -41,6 +43,11 @@ from naive_oracles import (
 def identity_operator(p, q):
     return MeasurementOperator("completion", p, q,
                                vec_indices=np.arange(p * q))
+
+
+# the three Bayesian solvers, all built on core.iterate
+SOLVERS = {"rsvm": solve, "rsvm-accel": solve_accelerated,
+           "rsvm-symmetric": solve_symmetric}
 
 
 def small_instance(seed=0, p=3, q=3, m=5, noise=0.1):
@@ -392,13 +399,28 @@ class TestSolve:
         assert a.beta_hat == b.beta_hat
         assert a.iterations == b.iterations
 
-    def test_history_and_trace(self, tmp_path):
-        inst = small_instance(52, p=3, q=3, m=6, noise=0.1)
-        path = tmp_path / "trace.csv"
-        solve(inst, Hyperparameters(max_iter=5), trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,rel_change,neg_log_joint,beta,effective_rank"
-        assert len(lines) == 6
+    @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS)
+    @pytest.mark.parametrize("hyper", [Hyperparameters(max_iter=5),
+                                       Hyperparameters(tol=1e-2)],
+                             ids=["capped", "converged"])
+    def test_trace_records(self, solver, hyper):
+        # one record per iteration, the last one matching the estimate
+        left = np.random.default_rng([1, 0]).standard_normal((6, 1))
+        sigma_n = noise_sigma_for_snr("completion", 6, 6, 1, 25, 100.0)
+        inst = measure(completion_operator(6, 6, 25, [1, 1]), left @ left.T,
+                       sigma_n, [1, 2])
+        est = solver(inst, hyper)
+        trace = est.trace
+        assert [r.iteration for r in trace] == \
+            list(range(1, est.iterations + 1))
+        assert trace[-1].beta == est.beta_hat
+        assert trace[-1].effective_rank == est.effective_rank
+        assert est.converged == (trace[-1].rel_change < hyper.tol)
+        assert est.converged == (hyper.tol == 1e-2)
+        assert all(r.rel_change >= hyper.tol for r in trace[:-1])
+        assert np.isfinite([(r.rel_change, r.neg_log_joint, r.beta,
+                             r.effective_rank) for r in trace]).all()
+        assert solver(inst, hyper).trace == trace
 
 
 class TestIterate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ class TestSpdInverse:
         out = spd_inverse(m)
         assert np.abs(out - out.T).max() <= 1e-12 * np.abs(out).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
     def test_matches_numpy_inverse(self, n):
         rng = np.random.default_rng(n)
         for _ in range(5):
@@ -180,6 +182,33 @@ class TestSpdInverse:
             out = spd_inverse(m)
             np.testing.assert_array_equal(out, out.T)
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("invert", INVERTERS.values(), ids=INVERTERS)
+    @pytest.mark.parametrize("singular", [False, True],
+                             ids=["spd", "jitter"])
+    def test_input_not_written(self, invert, singular):
+        rng = np.random.default_rng(8)
+        m = np.ones((5, 5)) if singular else random_spd(rng, 5)
+        m[0, 1] += 1e-3  # not exactly symmetric, same symmetric part
+        m[1, 0] -= 1e-3
+        before = m.copy()
+        invert(m)
+        np.testing.assert_array_equal(m, before)
+
+    def test_peak_memory(self):
+        # one symmetrized buffer, factored, inverted and mirrored in place
+        n = 600
+        m = random_spd(np.random.default_rng(9), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = spd_inverse(m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m.nbytes
+        np.testing.assert_array_equal(out, out.T)
+        assert np.abs(out @ m - np.eye(n)).max() <= 1e-10
 
 
 class TestPosteriorCovariance:

@@ -91,7 +91,7 @@ class TestLagrangian:
         op = gaussian_operator(5, 6, 18, 8)
         inst = measure(op, x, 0.05, 9)
         hist = []
-        _fista(inst, 0.3, NuclearConfig(), history=hist)
+        _fista(inst, 0.3, NuclearConfig(), objectives=hist)
         assert all(b <= a + 1e-10 * abs(a) for a, b in zip(hist, hist[1:]))
 
     def test_lambda_must_be_positive(self):

@@ -36,7 +36,12 @@ from rsvm.kronops import (
 from rsvm.sensing import completion_operator, gaussian_operator, measure
 from rsvm.symmetric import solve_symmetric
 
-from naive_oracles import DenseCovariance, dense_map_solve, random_spd
+from naive_oracles import (
+    DenseCovariance,
+    dense_map_solve,
+    random_spd,
+    trace_quadratic,
+)
 
 RTOL = 1e-9
 
@@ -98,7 +103,7 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
     assert_close(sigma.contract_right(ar), trace_contract_right(ref, ar))
     new_l = random_spd(rng, p)  # update_precisions contracts a new alpha_l
     assert_close(sigma.contract_left(new_l), trace_contract_left(ref, new_l))
-    assert_close(sigma.trace_quadratic(), op.trace_quadratic(ref))
+    assert_close(sigma.trace_quadratic(), trace_quadratic(op, ref))
     y = rng.standard_normal(m)
     x_hat = beta * sigma.apply(op.adjoint(y))
     assert_close(vec(x_hat),

@@ -110,17 +110,6 @@ class TestSolveSymmetric:
             den += np.sum(x * x)
         assert 10.0 * np.log10(num / den) < -18.0
 
-    def test_trace_file(self, tmp_path):
-        p = 4
-        x = psd_truth(p, 1, 20)
-        op = completion_operator(p, p, 12, 21)
-        inst = measure(op, x, 0.1, 22)
-        path = tmp_path / "trace.csv"
-        solve_symmetric(inst, Hyperparameters(max_iter=5), trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,rel_change,neg_log_joint,beta,effective_rank"
-        assert len(lines) == 6
-
     def test_deterministic(self):
         p = 6
         x = psd_truth(p, 1, 17)
