@@ -25,6 +25,7 @@ from .core import (
     SolverState,
     iterate,
     update_precisions,
+    with_cap,
 )
 from .kronops import (
     BlockCovariance,
@@ -138,9 +139,10 @@ def solve_accelerated(inst: ProblemInstance,
     for the loop and the per-iteration records in ``Estimate.trace``.
 
     The block-diagonal approximation slows per-outer-iteration progress,
-    so the default horizon is longer than the full solver's.
+    so an unset ``hyper.max_iter`` means DEFAULT_MAX_ITER, a longer horizon
+    than the full solver's.
     """
-    hyper = hyper or Hyperparameters(max_iter=DEFAULT_MAX_ITER)
+    hyper = with_cap(hyper, DEFAULT_MAX_ITER)
     p, q = inst.p, inst.q
     part = part or partition_blocks(p, q, "columns", min(4, q))
     if k_sweeps < 1:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .core import (Hyperparameters, SolverDivergenceError, require_count,
                    solve)
 from .kronops import FactorizationError
 from .sensing import (
-    COMPLETION,
     completion_operator,
     gaussian_operator,
     generate_low_rank,
@@ -71,8 +72,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {name!r}")
         if not self.algorithms:
             raise ConfigError("no algorithms selected")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_real(self.snr_db):
+            raise ConfigError(f"snr_db must be a number, got {self.snr_db!r}")
         try:
             for name in ("n_matrices", "n_measurements", "jobs"):
                 require_count(name, getattr(self, name))
@@ -86,13 +89,8 @@ class ExperimentConfig:
         if not getattr(self, sweeps[0]):
             raise ConfigError("sweep list must be non-empty")
         self.sweep_axis = sweeps[0]
-        if "rsvm-symmetric" in self.algorithms:
-            for value in self.sweep_values():
-                p, q, _, _ = _point_params(self, value)
-                if p != q:
-                    raise ConfigError(
-                        f"rsvm-symmetric needs p == q, got {p}x{q} at "
-                        f"{self.sweep_axis}={value}")
+        for value in self.sweep_values():
+            _point_params(self, value)
 
     def sweep_values(self) -> list:
         return list(getattr(self, self.sweep_axis))
@@ -141,7 +139,8 @@ def nmse(x_true: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 def to_db(ratio: float) -> float:
-    return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
+    """10 log10(ratio): -inf at 0, NaN (a failed trial) at NaN."""
+    return 10.0 * math.log10(ratio) if ratio != 0 else -math.inf
 
 
 def m_from_fraction(p: int, q: int, frac: float) -> int:
@@ -149,35 +148,55 @@ def m_from_fraction(p: int, q: int, frac: float) -> int:
     return int(math.floor(frac * p * q + 1e-9))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def _point_params(cfg: ExperimentConfig, value):
+    """(p, q, r, m) at one sweep point; ConfigError when it is out of range."""
     params = {name: getattr(cfg, name) for name in SWEEPABLE}
     params[cfg.sweep_axis] = value
-    p, q, r = int(params["p"]), int(params["q"]), int(params["r"])
-    m = m_from_fraction(p, q, float(params["m_fraction"]))
+    p, q, r, frac = (params[name] for name in SWEEPABLE)
+    where = f"at {cfg.sweep_axis}={value!r}"
+    if not all(_is_integer(v) for v in (p, q, r)):
+        raise ConfigError(f"p, q and r must be integers, got {p!r}, {q!r}, "
+                          f"{r!r} {where}")
+    if not 1 <= r <= min(p, q):
+        raise ConfigError(f"need 1 <= r <= min(p, q), got r={r} for "
+                          f"{p}x{q} {where}")
+    if not _is_real(frac):
+        raise ConfigError(f"m_fraction must be a number, got {frac!r} {where}")
+    m = m_from_fraction(p, q, frac)
+    if m < 1 or cfg.scenario == "completion" and m > p * q:
+        raise ConfigError(f"m={m} is out of range for {cfg.scenario} "
+                          f"{p}x{q} {where}")
+    if p != q and (cfg.psd_truth or "rsvm-symmetric" in cfg.algorithms):
+        what = "psd_truth" if cfg.psd_truth else "rsvm-symmetric"
+        raise ConfigError(f"{what} needs p == q, got {p}x{q} {where}")
     return p, q, r, m
 
 
-def _ground_truth(cfg, p, q, r, seed):
-    if cfg.psd_truth:
-        if p != q:
-            raise ConfigError("psd_truth requires p == q")
-        left = np.random.default_rng(seed).standard_normal((p, r))
-        return left @ left.T
-    return generate_low_rank(p, q, r, seed)
-
-
-def _make_instance(cfg, sweep_idx, mat_idx, noise_idx, p, q, r, m):
-    truth = _ground_truth(cfg, p, q, r, [cfg.seed, sweep_idx, mat_idx, 0])
-    op_rng = [cfg.seed, sweep_idx, mat_idx, noise_idx, 1]
-    noise_rng = [cfg.seed, sweep_idx, mat_idx, noise_idx, 2]
-    snr = 10.0 ** (cfg.snr_db / 10.0)
-    if cfg.scenario == "completion":
-        op = completion_operator(p, q, m, op_rng)
-        sigma_n = noise_sigma_for_snr(COMPLETION, p, q, r, m, snr)
+def make_instance(scenario, p, q, r, m, snr_db, psd_truth,
+                  truth_seed, op_seed, noise_seed):
+    """The low-rank truth (PSD when psd_truth), the scenario's operator with
+    m measurements, and noise at snr_db; one RNG seed per part."""
+    if psd_truth:
+        left = np.random.default_rng(truth_seed).standard_normal((p, r))
+        truth = left @ left.T
     else:
-        op = gaussian_operator(p, q, m, op_rng)
-        sigma_n = noise_sigma_for_snr("reconstruction", p, q, r, m, snr)
-    return measure(op, truth, sigma_n, noise_rng)
+        truth = generate_low_rank(p, q, r, truth_seed)
+    if scenario == "completion":
+        op = completion_operator(p, q, m, op_seed)
+    else:
+        op = gaussian_operator(p, q, m, op_seed)
+    sigma_n = noise_sigma_for_snr(scenario, p, q, r, m,
+                                  10.0 ** (snr_db / 10.0))
+    return measure(op, truth, sigma_n, noise_seed)
 
 
 def run_algorithm(name: str, inst, cfg: ExperimentConfig):
@@ -196,7 +215,10 @@ def run_algorithm(name: str, inst, cfg: ExperimentConfig):
 
 def _run_trial(cfg, sweep_idx, value, mat_idx, noise_idx):
     p, q, r, m = _point_params(cfg, value)
-    inst = _make_instance(cfg, sweep_idx, mat_idx, noise_idx, p, q, r, m)
+    seed = [cfg.seed, sweep_idx, mat_idx]
+    inst = make_instance(cfg.scenario, p, q, r, m, cfg.snr_db, cfg.psd_truth,
+                         seed + [0], seed + [noise_idx, 1],
+                         seed + [noise_idx, 2])
     truth = inst.ground_truth
     signal_sq = float(np.sum(truth * truth))
     rows = []
@@ -204,25 +226,19 @@ def _run_trial(cfg, sweep_idx, value, mat_idx, noise_idx):
         start = time.perf_counter()
         try:
             est = run_algorithm(name, inst, cfg)
-            elapsed = time.perf_counter() - start
-            err_sq = float(np.sum((truth - est.x_hat) ** 2))
-            ratio = err_sq / signal_sq
-            rows.append(ResultRow(
-                scenario=cfg.scenario, algorithm=name, p=p, q=q, r=r, m=m,
-                trial_matrix=mat_idx, trial_noise=noise_idx,
-                nmse_linear=ratio, nmse_db=to_db(ratio),
-                iterations=est.iterations,
-                wall_time_seconds=elapsed if cfg.record_timing else 0.0,
-                err_sq=err_sq, signal_sq=signal_sq))
         except SOLVER_FAILURES:
-            elapsed = time.perf_counter() - start
-            rows.append(ResultRow(
-                scenario=cfg.scenario, algorithm=name, p=p, q=q, r=r, m=m,
-                trial_matrix=mat_idx, trial_noise=noise_idx,
-                nmse_linear=float("nan"), nmse_db=float("nan"),
-                iterations=0,
-                wall_time_seconds=elapsed if cfg.record_timing else 0.0,
-                err_sq=float("nan"), signal_sq=signal_sq, failed=1))
+            est = None
+        elapsed = time.perf_counter() - start
+        err_sq = math.nan if est is None \
+            else float(np.sum((truth - est.x_hat) ** 2))
+        ratio = err_sq / signal_sq
+        rows.append(ResultRow(
+            scenario=cfg.scenario, algorithm=name, p=p, q=q, r=r, m=m,
+            trial_matrix=mat_idx, trial_noise=noise_idx,
+            nmse_linear=ratio, nmse_db=to_db(ratio),
+            iterations=0 if est is None else est.iterations,
+            wall_time_seconds=elapsed if cfg.record_timing else 0.0,
+            err_sq=err_sq, signal_sq=signal_sq, failed=int(est is None)))
     return rows
 
 
@@ -240,33 +256,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     return [row for rows in nested for row in rows]
 
 
-def _sweep_value_of(row: ResultRow, axis: str) -> float:
-    if axis == "m_fraction":
-        return row.m / (row.p * row.q)
-    return float(getattr(row, axis))
-
-
-def infer_sweep_axis(rows) -> str:
-    """Which of m, q, r, p varies across rows; m wins ties."""
-    for axis, attr in (("m_fraction", "m"), ("q", "q"), ("r", "r"), ("p", "p")):
-        if len({getattr(row, attr) for row in rows}) > 1:
-            return axis
-    return "m_fraction"
-
-
-def aggregate(rows, axis: str | None = None) -> list[AggregateRow]:
+def aggregate(rows) -> list[AggregateRow]:
     """Ratio-of-means NMSE per (sweep point, algorithm), in dB.
 
-    Failed rows are excluded from the means and counted separately. The
+    The sweep point is p, q or r when it varies across the rows, else
+    m/pq: a sweep varies exactly one axis, and m moves with p and q. Failed
+    rows are excluded from the means and counted separately. The
     mean-of-ratios variant is emitted alongside for reference.
     """
-    if not rows:
-        return []
-    axis = axis or infer_sweep_axis(rows)
+    axis = next((name for name in ("p", "q", "r")
+                 if len({getattr(row, name) for row in rows}) > 1), None)
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
-        groups.setdefault((_sweep_value_of(row, axis), row.algorithm), []) \
-            .append(row)
+        value = float(getattr(row, axis)) if axis else row.m / (row.p * row.q)
+        groups.setdefault((value, row.algorithm), []).append(row)
     out = []
     for (value, alg) in sorted(groups):
         grp = groups[(value, alg)]
@@ -284,13 +287,6 @@ def aggregate(rows, axis: str | None = None) -> list[AggregateRow]:
     return out
 
 
-_ROW_FIELDS = ("scenario", "algorithm", "p", "q", "r", "m", "trial_matrix",
-               "trial_noise", "nmse_linear", "nmse_db", "iterations",
-               "wall_time_seconds", "err_sq", "signal_sq", "failed")
-_AGG_FIELDS = ("sweep_value", "algorithm", "nmse_db", "n_trials",
-               "n_failures", "mean_wall_time", "nmse_db_mean_of_ratios")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
@@ -298,31 +294,20 @@ def _fmt(value) -> str:
 
 
 def write_csv(items, path) -> None:
-    """Emit result or aggregate rows, 6 significant digits, stable order."""
+    """Emit result or aggregate rows, 6 significant digits, stable order.
+
+    The columns are the dataclass fields, in order."""
     items = list(items)
-    fields = _ROW_FIELDS
-    if items and isinstance(items[0], AggregateRow):
-        fields = _AGG_FIELDS
+    names = [f.name for f in fields(type(items[0]) if items else ResultRow)]
     with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
+        fh.write(",".join(names) + "\n")
         for item in items:
-            fh.write(",".join(_fmt(getattr(item, f)) for f in fields) + "\n")
+            fh.write(",".join(_fmt(getattr(item, n)) for n in names) + "\n")
 
 
 def read_rows_csv(path) -> list[ResultRow]:
-    rows = []
+    types = get_type_hints(ResultRow)
     with Path(path).open() as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ResultRow(
-                scenario=rec["scenario"], algorithm=rec["algorithm"],
-                p=int(rec["p"]), q=int(rec["q"]), r=int(rec["r"]),
-                m=int(rec["m"]), trial_matrix=int(rec["trial_matrix"]),
-                trial_noise=int(rec["trial_noise"]),
-                nmse_linear=float(rec["nmse_linear"]),
-                nmse_db=float(rec["nmse_db"]),
-                iterations=int(rec["iterations"]),
-                wall_time_seconds=float(rec["wall_time_seconds"]),
-                err_sq=float(rec["err_sq"]),
-                signal_sq=float(rec["signal_sq"]),
-                failed=int(rec["failed"])))
-    return rows
+        return [ResultRow(**{name: parse(rec[name])
+                             for name, parse in types.items()})
+                for rec in csv.DictReader(fh)]

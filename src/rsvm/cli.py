@@ -19,6 +19,7 @@ from .bench import (
     ConfigError,
     ExperimentConfig,
     aggregate,
+    make_instance,
     m_from_fraction,
     nmse,
     read_rows_csv,
@@ -29,15 +30,7 @@ from .bench import (
 )
 from .core import Hyperparameters
 from .nuclear import NuclearConfig
-from .sensing import (
-    completion_operator,
-    gaussian_operator,
-    generate_low_rank,
-    load_instance,
-    measure,
-    noise_sigma_for_snr,
-    save_instance,
-)
+from .sensing import COMPLETION, load_instance, save_instance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,21 +78,17 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    snr = 10.0 ** (args.snr_db / 10.0)
+    # A one-point sweep: its checks are a sweep's.
+    ExperimentConfig(scenario=args.scenario, p=args.p, q=args.q, r=args.r,
+                     m_fraction=[args.m_fraction], snr_db=args.snr_db,
+                     seed=args.seed)
     m = m_from_fraction(args.p, args.q, args.m_fraction)
-    truth = generate_low_rank(args.p, args.q, args.r, [args.seed, 0])
-    if args.scenario == "completion":
-        op = completion_operator(args.p, args.q, m, [args.seed, 1])
-        sigma_n = noise_sigma_for_snr("completion", args.p, args.q, args.r,
-                                      m, snr)
-    else:
-        op = gaussian_operator(args.p, args.q, m, [args.seed, 1])
-        sigma_n = noise_sigma_for_snr("reconstruction", args.p, args.q,
-                                      args.r, m, snr)
-    inst = measure(op, truth, sigma_n, [args.seed, 2])
+    inst = make_instance(args.scenario, args.p, args.q, args.r, m,
+                         args.snr_db, False, [args.seed, 0], [args.seed, 1],
+                         [args.seed, 2])
     save_instance(inst, args.out)
     print(f"wrote instance p={args.p} q={args.q} r={args.r} m={m} "
-          f"sigma_n={sigma_n:.6g} -> {args.out}")
+          f"sigma_n={inst.sigma_n:.6g} -> {args.out}")
     return 0
 
 
@@ -109,8 +98,13 @@ def _cmd_solve(args) -> int:
     except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load instance {args.instance}: "
                           f"{type(exc).__name__}: {exc}") from exc
-    cfg = ExperimentConfig(scenario="completion", p=inst.p, q=inst.q,
-                           m_fraction=[0.7], algorithms=(args.algorithm,))
+    # The instance as a one-point sweep, which checks the algorithm against
+    # its shape. An instance stores no rank; r = 1 fits every shape.
+    cfg = ExperimentConfig(
+        scenario="completion" if inst.operator.kind == COMPLETION
+        else "reconstruction",
+        p=inst.p, q=inst.q, r=1, m_fraction=[inst.m / (inst.p * inst.q)],
+        algorithms=(args.algorithm,))
     try:
         est = run_algorithm(args.algorithm, inst, cfg)
     except SOLVER_FAILURES as exc:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DEFAULT_MAX_ITER,
     Estimate,
     Hyperparameters,
     PrecisionState,
     SolverState,
     iterate,
     map_estimate,
+    with_cap,
 )
 from .kronops import spd_inverse, symmetrize
 from .sensing import ProblemInstance
@@ -61,7 +63,7 @@ def solve_symmetric(inst: ProblemInstance,
     projection (X + X^T)/2); the precision step is :func:`update_precision`.
     Every iteration is returned as a record in ``Estimate.trace``.
     """
-    hyper = hyper or Hyperparameters()
+    hyper = with_cap(hyper, DEFAULT_MAX_ITER)
     if inst.p != inst.q:
         raise ValueError(f"symmetric solver needs p == q, got {inst.p}x{inst.q}")
 

@@ -36,6 +36,10 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+FAILED = dict(nmse_linear=math.nan, nmse_db=math.nan, err_sq=math.nan,
+              iterations=0, failed=1)
+
+
 def make_row(**overrides):
     base = dict(scenario="completion", algorithm="rsvm", p=6, q=8, r=1,
                 m=28, trial_matrix=0, trial_noise=0, nmse_linear=0.25,
@@ -116,6 +120,12 @@ class TestAggregate:
         out = aggregate(rows)
         assert {row.sweep_value for row in out} == {0.5, 0.75}
 
+    @pytest.mark.parametrize("qs", [[10, 20], [8, 10, 11]])
+    def test_sweep_value_is_swept_width(self, qs):
+        # m moves with q at a fixed m_fraction; the points are the widths
+        rows = [make_row(p=6, q=q, m=m_from_fraction(6, q, 0.7)) for q in qs]
+        assert [row.sweep_value for row in aggregate(rows)] == qs
+
 
 class TestWriteCsv:
     def test_empty_rows_header_only(self, tmp_path):
@@ -130,15 +140,18 @@ class TestWriteCsv:
         write_csv([make_row()], path)
         assert len(path.read_text().splitlines()) == 2
 
-    def test_round_trip_six_significant_digits(self, tmp_path):
+    @pytest.mark.parametrize("written, read", [
+        (dict(nmse_linear=0.123456789, err_sq=1.23456789e-7),
+         dict(nmse_linear=0.123457, err_sq=1.23457e-7, nmse_db=-6.0206)),
+        (FAILED, FAILED)], ids=["good", "failed"])
+    def test_round_trip_six_significant_digits(self, tmp_path, written, read):
         path = tmp_path / "out.csv"
-        row = make_row(nmse_linear=0.123456789, err_sq=1.23456789e-7)
-        write_csv([row], path)
-        back = read_rows_csv(path)[0]
-        assert abs(back.nmse_linear - 0.123457) <= 1e-9
-        assert abs(back.err_sq - 1.23457e-7) <= 1e-15
-        assert back.algorithm == "rsvm"
-        assert back.m == 28
+        write_csv([make_row(**written)], path)
+        back = dataclasses.asdict(read_rows_csv(path)[0])
+        expected = dataclasses.asdict(make_row(**read))
+        np.testing.assert_equal(back, expected)  # NaN matches NaN
+        assert [type(v) for v in back.values()] \
+            == [type(v) for v in expected.values()]
 
     def test_aggregate_schema(self, tmp_path):
         path = tmp_path / "agg.csv"
@@ -223,6 +236,15 @@ class TestRunExperiment:
         assert rows[0].failed == 0
         assert rows[0].nmse_linear < 1.0
 
+    def test_unset_cap_is_each_solvers_own(self):
+        # a hyper section without max_iter keeps 25 for rsvm, 30 for accel
+        rows = {hyper: run_experiment(tiny_config(
+                    hyper=hyper, algorithms=("rsvm", "rsvm-accel"),
+                    n_matrices=1, n_measurements=1, record_timing=False))
+                for hyper in (None, Hyperparameters(tol=1e-6))}
+        assert rows[None] == rows[Hyperparameters(tol=1e-6)]
+        assert [r.iterations for r in rows[None]] == [25, 30]
+
     def test_solver_abort_recorded_as_failure_row(self, monkeypatch):
         # the symmetric solver diverges; the run continues
         def diverge(inst, hyper=None):
@@ -275,6 +297,24 @@ class TestCli:
         else:
             assert main(args) == code
             assert "solver failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
+    def test_solve_smallest_shape(self, tmp_path, capsys, algorithm):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--p", "2", "--q", "2", "--r", "1",
+                     "--out", str(inst_path)]) == 0
+        assert main(["solve", "--instance", str(inst_path),
+                     "--algorithm", algorithm]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ["--p", "4", "--q", "4", "--r", "5"], ["--m-fraction", "1.5"],
+        ["--seed", "-1"]], ids=["rank", "m-fraction", "seed"])
+    def test_gen_out_of_range_exit_code(self, tmp_path, capsys, args):
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", *args, "--out", str(inst_path)]) == 1
+        assert not inst_path.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_sweep_and_report(self, tmp_path, capsys):
         config = {
@@ -411,6 +451,35 @@ class TestCli:
                      "--out", str(tmp_path / "rows.csv")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("point", [
+        {"p": 4, "q": 4, "r": [1, 5], "m_fraction": 0.6},
+        {"m_fraction": [0.6, 1.5]},
+        {"scenario": "reconstruction", "m_fraction": [0.6, 0.01]},
+        {"p": [6, 7], "q": 6, "m_fraction": 0.6, "psd_truth": True},
+        {"seed": 1.5},
+        {"snr_db": "x"},
+        {"p": 6.5},
+    ], ids=["rank", "m-fraction-high", "m-fraction-low", "psd-non-square",
+            "fractional-seed", "text-snr", "fractional-p"])
+    def test_out_of_range_point_exit_code(self, tmp_path, capsys,
+                                          monkeypatch, point):
+        # every point is checked before the first trial runs
+        solved = []
+        run = bench.run_algorithm
+        monkeypatch.setattr(bench, "run_algorithm",
+                            lambda *args: solved.append(args) or run(*args))
+        config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
+                  "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
+                  "algorithms": ["rsvm"], "hyper": {"max_iter": 2}, **point}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rows_path = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(rows_path)]) == 1
+        assert not rows_path.exists()
+        assert solved == []
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_non_square_symmetric_config_exit_code(self, tmp_path, capsys):
         config = {
