@@ -74,10 +74,10 @@ class Hyperparameters:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.epsilon_scale <= 0:
-            raise ValueError("epsilon_scale must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0 < self.epsilon_scale < math.inf and 0 < self.tol <= 1
+                and 0 <= self.c < math.inf and 0 <= self.d < math.inf):
+            raise ValueError("need finite epsilon_scale > 0, 0 < tol <= 1 "
+                             f"and finite c, d >= 0, got {self}")
         if self.max_iter is not None:
             require_count("max_iter", self.max_iter)
 
@@ -110,12 +110,12 @@ class SolverState:
 class IterationRecord:
     """One iteration of :func:`iterate`, taken after its noise update.
 
-    X_0 = 0 and the denominator is floored at 1e-12, so the first
-    rel_change is ||X_1||_F / 1e-12 unless X_1 = 0.
+    rel_change is ||X_k - X_{k-1}||_F over ||X_{k-1}||_F (||X_k||_F when
+    X_{k-1} = 0), floored at 1e-12. X_0 = 0, so it starts at 1 (0 if X_1 = 0).
     """
 
     iteration: int
-    rel_change: float     # ||X_k - X_{k-1}||_F / ||X_{k-1}||_F
+    rel_change: float     # relative Frobenius change of the estimate
     neg_log_joint: float
     beta: float           # noise precision
     effective_rank: int   # of X_k
@@ -142,11 +142,12 @@ class SolverDivergenceError(RuntimeError):
         self.state = state
 
 
-def effective_rank(x: np.ndarray, rel_threshold: float = 1e-3) -> int:
+def effective_rank(x: np.ndarray) -> int:
+    """Number of singular values above 1e-3 of the largest."""
     s = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.count_nonzero(s > rel_threshold * s[0]))
+    return int(np.count_nonzero(s > 1e-3 * s[0]))
 
 
 def init_state(inst: ProblemInstance, hyper: Hyperparameters) -> SolverState:
@@ -257,8 +258,8 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
         x, sigma = posterior(state)
         _require_finite(state, it, "estimate", np.isfinite(x).all())
         state.x_hat, state.sigma = x, sigma
-        rel = float(np.linalg.norm(x - x_prev, "fro")
-                    / max(np.linalg.norm(x_prev, "fro"), 1e-12))
+        scale = np.linalg.norm(x_prev, "fro") or np.linalg.norm(x, "fro")
+        rel = float(np.linalg.norm(x - x_prev, "fro") / max(scale, 1e-12))
 
         prec = state.precisions = precisions(state)
         _require_finite(state, it, "precisions",

@@ -41,9 +41,14 @@ Both offer the posterior mean (``apply``) and the three reads the solver
 updates make: ``contract_right``, ``contract_left`` and
 ``trace_quadratic``. :class:`BlockCovariance` holds one form per column
 block (the prior restricted to column block b is alpha_r[b, b] kron
-alpha_l) and offers the same three reads. The dense functions
-(:func:`posterior_covariance`, ``trace_contract_*``,
-:func:`nearest_kron_sum`) are test references; no solver calls them.
+alpha_l) and offers the same three reads.
+
+The dense functions are test references; no solver calls them.
+:func:`posterior_covariance` materializes Sigma either from its
+definition (``method="direct"``, a pq x pq inverse) or from the solvers'
+own structured form (``method="woodbury"``), so comparing the two checks
+the code every solve runs. ``trace_contract_*`` and
+:func:`nearest_kron_sum` read dense matrices.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
     return np.einsum("ji,likj->kl", alpha_l, t)
 
 
-def _spd_factor(m: np.ndarray):
-    """Cholesky factor (``cho_factor`` pair) of an SPD matrix.
+def _spd_factor(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor (Fortran-ordered) of an SPD matrix.
 
     Tries (m + m^T)/2 first; on failure retries with f I added, then 10 f I
     and 100 f I, f = 1e-12 tr(m) / dim (1e-12 when that is not positive),
@@ -141,7 +146,7 @@ def _spd_factor(m: np.ndarray):
         _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=0,
                                              overwrite_a=1)
         if info == 0:
-            return buf.T, True
+            return buf.T
     raise FactorizationError(
         f"Cholesky factorization failed for dim {dim} after jitter "
         "escalation"
@@ -155,7 +160,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     schedule), in the factor's buffer; raises :class:`FactorizationError`
     when the schedule is exhausted. The result is exactly symmetric.
     """
-    c, _ = _spd_factor(m)
+    c = _spd_factor(m)
     _, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
@@ -168,11 +173,6 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
         d[...] = np.triu(d) + np.triu(d, 1).T
         t[s + 256:, s:s + 256] = t[s:s + 256, s + 256:].T
     return t
-
-
-def spd_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs for SPD m, with the same jitter schedule as spd_inverse."""
-    return scipy.linalg.cho_solve(_spd_factor(m), rhs, check_finite=False)
 
 
 def _operator_parts(a):
@@ -200,12 +200,13 @@ def posterior_covariance(
     beta: float,
     method: str = "auto",
 ) -> np.ndarray:
-    """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1}.
+    """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} as a
+    dense pq x pq matrix.
 
     ``a`` may be a measurement operator, a dense m x pq array or a 1-d
-    integer array of observed vec indices. With ``method="auto"`` the
-    Woodbury form (an m x m inverse) is used when m < pq/2, the direct
-    pq x pq inverse otherwise; both paths agree.
+    integer array of observed vec indices. ``method="direct"`` inverts the
+    definition, ``"woodbury"`` materializes :func:`structured_covariance`,
+    and ``"auto"`` picks Woodbury when m < pq/2; all paths agree.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -216,26 +217,16 @@ def posterior_covariance(
     m = idx.size if idx is not None else dense.shape[0]
     if method == "auto":
         method = "woodbury" if m < n / 2 else "direct"
-
-    if method == "direct":
-        mat = np.kron(alpha_r, alpha_l)
-        if idx is not None:
-            mat[idx, idx] += beta
-        else:
-            mat += beta * (dense.T @ dense)
-        return spd_inverse(mat)
-
-    if method != "woodbury":
+    if method == "woodbury":
+        return structured_covariance(alpha_l, alpha_r, a, beta).dense()
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    p_inv = np.kron(spd_inverse(alpha_r), spd_inverse(alpha_l))
+    mat = np.kron(alpha_r, alpha_l)
     if idx is not None:
-        pa = p_inv[:, idx]
-        apa = pa[idx, :]
+        mat[idx, idx] += beta
     else:
-        pa = p_inv @ dense.T
-        apa = dense @ pa
-    cap = symmetrize(apa) + np.eye(m) / beta
-    return symmetrize(p_inv - pa @ spd_solve(cap, pa.T))
+        mat += beta * (dense.T @ dense)
+    return spd_inverse(mat)
 
 
 @dataclass
@@ -440,7 +431,7 @@ def structured_covariance(
     kinv = b @ b.T
     if sensing:
         kinv[np.diag_indices(k)] += 1.0 / beta
-    c, _ = _spd_factor(kinv)
+    c = _spd_factor(kinv)
     # C^{-1} B as the right-sided solve Y^T C^T = B^T on the Fortran-ordered
     # view B^T, in place, which leaves Y C-ordered.
     y = scipy.linalg.blas.dtrsm(1.0, c, b.T, side=1, lower=1, trans_a=1,

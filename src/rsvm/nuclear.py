@@ -8,6 +8,7 @@ step is singular value soft-thresholding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class NuclearConfig:
     max_bisect_iter: int = 60
 
     def __post_init__(self):
-        if self.fista_tol <= 0 or self.bisect_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.fista_tol < math.inf
+                and 0 < self.bisect_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and > 0, got {self}")
         require_count("max_fista_iter", self.max_fista_iter)
         require_count("max_bisect_iter", self.max_bisect_iter)
 
@@ -54,20 +56,20 @@ def _soft_threshold(x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     return (u * s) @ vt, float(s.sum())
 
 
-def largest_gram_eigenvalue(op: MeasurementOperator, n_iter: int = 200,
-                            tol: float = 1e-12) -> float:
-    """Largest eigenvalue of A^T A by power iteration on the matvec actions."""
+def largest_gram_eigenvalue(op: MeasurementOperator) -> float:
+    """Largest eigenvalue of A^T A by power iteration on the matvec actions:
+    at most 200 steps, stopping at a relative step below 1e-12."""
     n = op.p * op.q
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
-    for _ in range(n_iter):
+    for _ in range(200):
         w = op.apply_adjoint(op.apply(v))
         nw = float(np.linalg.norm(w))
         if nw == 0:
             return 0.0
         lam_new = float(v @ w)
         v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
+        if abs(lam_new - lam) <= 1e-12 * max(abs(lam_new), 1.0):
             return lam_new
         lam = lam_new
     return lam
@@ -136,15 +138,13 @@ def _fista(inst, lam, cfg, x0=None, lipschitz=None, objectives=None):
     return x, it, False
 
 
-def solve_lagrangian(inst: ProblemInstance, lam: float,
-                     cfg: NuclearConfig | None = None,
-                     x0=None) -> np.ndarray:
+def solve_lagrangian(inst: ProblemInstance, lam: float) -> np.ndarray:
     """Accelerated proximal-gradient minimizer of
-    0.5 ||y - A vec(X)||^2 + lam ||X||_*."""
+    0.5 ||y - A vec(X)||^2 + lam ||X||_*, from X = 0 with the default
+    :class:`NuclearConfig`."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    cfg = cfg or NuclearConfig()
-    x, _, _ = _fista(inst, lam, cfg, x0=x0)
+    x, _, _ = _fista(inst, lam, NuclearConfig())
     return x
 
 
@@ -211,7 +211,7 @@ def solve_constrained(inst: ProblemInstance, delta: float,
         if _within(r_cur):
             return _estimate(x_cur, total_iters, True)
         if r_cur < delta:
-            lam_lo, x_lo = lam, x_cur
+            lam_lo, x_lo, r_lo = lam, x_cur, r_cur
             break
         lam_hi = lam
         lam /= 4.0
@@ -220,11 +220,9 @@ def solve_constrained(inst: ProblemInstance, delta: float,
         if r_cur >= delta:
             # even the smallest weight cannot reach delta: nearest feasible
             return _estimate(x_cur, total_iters, _within(r_cur))
-        lam_lo, x_lo = lo, x_cur
+        lam_lo, x_lo, r_lo = lo, x_cur, r_cur
 
-    best_x, best_gap = x_lo, abs(
-        float(np.linalg.norm(inst.y - inst.operator.apply(vec(x_lo))))
-        - delta)
+    best_x, best_gap = x_lo, abs(r_lo - delta)
     warm = x_lo
     lo_b, hi_b = lam_lo, lam_hi
     for _ in range(cfg.max_bisect_iter):

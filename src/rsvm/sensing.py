@@ -113,6 +113,14 @@ class ProblemInstance:
             raise ValueError("y length must equal operator.m")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("y has non-finite entries")
+        truth = self.ground_truth
+        if truth is not None and (np.shape(truth) != (self.p, self.q)
+                                  or not np.all(np.isfinite(truth))):
+            raise ValueError(f"ground truth must be a finite {self.p}x{self.q}"
+                             " array")
+        if not 0 <= self.sigma_n < np.inf:
+            raise ValueError("sigma_n must be finite and >= 0, "
+                             f"got {self.sigma_n!r}")
 
     @property
     def p(self) -> int:
@@ -158,7 +166,8 @@ def generate_low_rank(p: int, q: int, r: int, seed) -> np.ndarray:
 
 def noise_sigma_for_snr(kind: str, p: int, q: int, r: int, m: int,
                         snr: float) -> float:
-    """Noise level hitting a target linear SNR.
+    """Noise level hitting a target linear SNR for a scenario, "completion"
+    or "reconstruction".
 
     sigma_n^2 = r/snr for completion, p*q*r/(m*snr) for reconstruction with
     unit-norm sensing columns.
@@ -167,9 +176,9 @@ def noise_sigma_for_snr(kind: str, p: int, q: int, r: int, m: int,
         raise ValueError("snr must be positive")
     if kind == COMPLETION:
         return float(np.sqrt(r / snr))
-    if kind in (DENSE, "reconstruction"):
+    if kind == "reconstruction":
         return float(np.sqrt(p * q * r / (m * snr)))
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    raise ValueError(f"unknown scenario {kind!r}")
 
 
 def measure(op: MeasurementOperator, x: np.ndarray, sigma_n: float,

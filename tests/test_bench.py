@@ -374,9 +374,23 @@ class TestCli:
         {"n_matrices": 2.5},
         {"n_measurements": 0},
         {"jobs": -3},
+        {"hyper": {"tol": math.nan}},
+        {"hyper": {"tol": math.inf}},
+        {"hyper": {"tol": 2.0}},
+        {"hyper": {"epsilon_scale": math.nan}},
+        {"hyper": {"epsilon_scale": math.inf}},
+        {"hyper": {"c": -5.0}},
+        {"hyper": {"d": math.nan}},
+        {"hyper": {"c": math.inf}},
+        {"nuclear_cfg": {"fista_tol": math.nan}},
+        {"nuclear_cfg": {"bisect_tol": math.inf}},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
             "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap",
-            "fractional-matrices", "zero-measurements", "negative-jobs"])
+            "fractional-matrices", "zero-measurements", "negative-jobs",
+            "hyper-nan-tol", "hyper-inf-tol", "hyper-tol-above-one",
+            "hyper-nan-epsilon", "hyper-inf-epsilon", "hyper-negative-c",
+            "hyper-nan-d", "hyper-inf-c", "nuclear-nan-fista-tol",
+            "nuclear-inf-bisect-tol"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
                   "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
@@ -396,7 +410,9 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert "must hold a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["nan-y", "no-kind", "no-file"])
+    @pytest.mark.parametrize("defect", [
+        "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
+        "nan-sigma", "negative-sigma"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -407,8 +423,15 @@ class TestCli:
             doc = json.loads(inst_path.read_text())
             if defect == "nan-y":
                 doc["y"][0] = float("nan")
-            else:
+            elif defect == "no-kind":
                 del doc["kind"]
+            elif defect == "truth-shape":
+                doc["ground_truth"] = doc["ground_truth"][:3]
+            elif defect == "inf-truth":
+                doc["ground_truth"][1][2] = float("inf")
+            else:
+                doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
+                    else -1.0
             inst_path.write_text(json.dumps(doc))
         assert main(["solve", "--instance", str(inst_path),
                      "--algorithm", "rsvm"]) == 1

@@ -413,6 +413,7 @@ class TestSolve:
         trace = est.trace
         assert [r.iteration for r in trace] == \
             list(range(1, est.iterations + 1))
+        assert trace[0].rel_change == 1.0  # X_0 = 0, X_1 != 0
         assert trace[-1].beta == est.beta_hat
         assert trace[-1].effective_rank == est.effective_rank
         assert est.converged == (trace[-1].rel_change < hyper.tol)

@@ -9,7 +9,6 @@ from rsvm.kronops import (
     nearest_kron_sum,
     posterior_covariance,
     spd_inverse,
-    spd_solve,
     trace_contract_left,
     trace_contract_right,
     unvec,
@@ -132,11 +131,9 @@ class TestTraceContractions:
             trace_contract_right(np.eye(6), np.eye(4))
 
 
-# spd_inverse and spd_solve share one factorization and jitter schedule
-INVERTERS = {
-    "spd_inverse": spd_inverse,
-    "spd_solve": lambda m: spd_solve(m, np.eye(m.shape[0])),
-}
+# The SPD inverters of kronops. structured_covariance factors its Gram
+# matrix through the same helper (_spd_factor) and jitter schedule.
+INVERTERS = {"spd_inverse": spd_inverse}
 
 
 class TestSpdInverse:
