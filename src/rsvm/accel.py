@@ -143,15 +143,14 @@ def solve_accelerated(inst: ProblemInstance,
     than the full solver's.
     """
     hyper = with_cap(hyper, DEFAULT_MAX_ITER)
-    p, q = inst.p, inst.q
-    part = part or partition_blocks(p, q, "columns", min(4, q))
+    part = part or partition_blocks(inst.p, inst.q, "columns", min(4, inst.q))
     if k_sweeps < 1:
         raise ValueError("k_sweeps must be >= 1")
     ops = [_block_operator(inst.operator, flat) for flat in part.blocks]
-    x = np.zeros((p, q))
 
     def posterior(state):
         prec = state.precisions
+        x = state.x_hat.copy()
         # Local covariances depend only on the precisions: one per block
         # per outer iteration, shared across sweeps.
         sigmas = [_block_covariance(prec, cols, op)
@@ -159,8 +158,7 @@ def solve_accelerated(inst: ProblemInstance,
         for _ in range(k_sweeps):
             for cols, sigma in zip(part.columns, sigmas):
                 x[:, cols] = sigma.apply(_block_rhs(inst, x, prec, cols))
-        # x is mutated across iterations: return a copy
-        return x.copy(), BlockCovariance(part.columns, sigmas)
+        return x, BlockCovariance(part.columns, sigmas)
 
     return iterate(inst, hyper, posterior,
                    lambda state: update_precisions(state, hyper))

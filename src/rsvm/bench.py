@@ -261,8 +261,9 @@ def aggregate(rows) -> list[AggregateRow]:
 
     The sweep point is p, q or r when it varies across the rows, else
     m/pq: a sweep varies exactly one axis, and m moves with p and q. Failed
-    rows are excluded from the means and counted separately. The
-    mean-of-ratios variant is emitted alongside for reference.
+    rows are excluded from the means and counted separately; a group whose
+    every trial failed keeps its row, with NaN means. The mean-of-ratios
+    variant is emitted alongside for reference.
     """
     axis = next((name for name in ("p", "q", "r")
                  if len({getattr(row, name) for row in rows}) > 1), None)
@@ -274,16 +275,16 @@ def aggregate(rows) -> list[AggregateRow]:
     for (value, alg) in sorted(groups):
         grp = groups[(value, alg)]
         good = [row for row in grp if not row.failed]
-        n_fail = len(grp) - len(good)
-        if not good:
-            continue
-        ratio = sum(r.err_sq for r in good) / sum(r.signal_sq for r in good)
-        mean_ratio = sum(r.nmse_linear for r in good) / len(good)
+        ratio = mean_ratio = wall = float("nan")
+        if good:
+            ratio = sum(r.err_sq for r in good) \
+                / sum(r.signal_sq for r in good)
+            mean_ratio = sum(r.nmse_linear for r in good) / len(good)
+            wall = sum(r.wall_time_seconds for r in good) / len(good)
         out.append(AggregateRow(
             sweep_value=value, algorithm=alg, nmse_db=to_db(ratio),
-            n_trials=len(grp), n_failures=n_fail,
-            mean_wall_time=sum(r.wall_time_seconds for r in good) / len(good),
-            nmse_db_mean_of_ratios=to_db(mean_ratio)))
+            n_trials=len(grp), n_failures=len(grp) - len(good),
+            mean_wall_time=wall, nmse_db_mean_of_ratios=to_db(mean_ratio)))
     return out
 
 

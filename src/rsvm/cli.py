@@ -9,6 +9,7 @@ solver-failure rows were recorded.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -183,7 +184,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = read_rows_csv(args.rows)
+    try:
+        rows = read_rows_csv(args.rows)
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read rows {args.rows}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"rows file {args.rows} holds no rows")
     agg = aggregate(rows)
     if args.out:
         write_csv(agg, args.out)

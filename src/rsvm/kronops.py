@@ -198,25 +198,21 @@ def posterior_covariance(
     alpha_r: np.ndarray,
     a,
     beta: float,
-    method: str = "auto",
+    method: str = "direct",
 ) -> np.ndarray:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} as a
     dense pq x pq matrix.
 
     ``a`` may be a measurement operator, a dense m x pq array or a 1-d
     integer array of observed vec indices. ``method="direct"`` inverts the
-    definition, ``"woodbury"`` materializes :func:`structured_covariance`,
-    and ``"auto"`` picks Woodbury when m < pq/2; all paths agree.
+    definition; ``"woodbury"`` materializes :func:`structured_covariance`,
+    the form the solvers use. Both agree.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     alpha_l = np.asarray(alpha_l, dtype=float)
     alpha_r = np.asarray(alpha_r, dtype=float)
-    n = alpha_l.shape[0] * alpha_r.shape[0]
     idx, dense = _operator_parts(a)
-    m = idx.size if idx is not None else dense.shape[0]
-    if method == "auto":
-        method = "woodbury" if m < n / 2 else "direct"
     if method == "woodbury":
         return structured_covariance(alpha_l, alpha_r, a, beta).dense()
     if method != "direct":

@@ -6,7 +6,8 @@ solver's loop (:func:`rsvm.core.iterate`) with that precision as both the
 left and the right one. Its precision update contracts the structured
 posterior covariance (either form of
 :func:`rsvm.kronops.structured_covariance`) against alpha on both sides,
-without forming the p^2 x p^2 matrix.
+without forming the p^2 x p^2 matrix. That contraction is positive definite
+by construction and is inverted as it is, with no PSD clip.
 """
 
 from __future__ import annotations
@@ -27,27 +28,21 @@ from .kronops import spd_inverse, symmetrize
 from .sensing import ProblemInstance
 
 
-def _clip_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(symmetrize(m))
-    if vals[0] >= 0:
-        return m
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
-
-
 def update_precision(state: SolverState,
                      hyper: Hyperparameters) -> PrecisionState:
-    """alpha <- (2 X alpha X + clip_psd(pair) + eps I)^{-1}.
+    """alpha <- (2 X alpha X + pair + eps I)^{-1}.
 
     pair = state.sigma.contract_right(alpha) + contract_left(alpha), the
-    covariance contracted against alpha on both sides, is positive
-    semidefinite; rounding can leave it slightly indefinite, so it is
-    clipped to the nearest PSD matrix before inversion. Returns alpha as
-    both precisions.
+    covariance contracted against alpha on both sides, is positive definite
+    whenever Sigma and alpha are. Rounding is left to the eps I floor and
+    the jitter schedule of :func:`rsvm.kronops.spd_inverse`, which raises
+    FactorizationError when both fall short. Returns alpha as both
+    precisions.
     """
     x, prec = state.x_hat, state.precisions
     alpha = prec.alpha_l
     pair = state.sigma.contract_right(alpha) + state.sigma.contract_left(alpha)
-    mat = 2.0 * x @ alpha @ x + _clip_psd(pair) \
+    mat = 2.0 * x @ alpha @ x + pair \
         + hyper.epsilon_scale * np.eye(x.shape[0])
     alpha = spd_inverse(mat)
     return PrecisionState(alpha, alpha, prec.beta)

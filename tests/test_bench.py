@@ -110,6 +110,18 @@ class TestAggregate:
         assert out[0].n_failures == 1
         assert abs(out[0].nmse_db - 10 * math.log10(0.25)) <= 1e-12
 
+    def test_all_failed_group_keeps_its_row(self):
+        rows = [make_row(m=24, **FAILED), make_row(m=36),
+                make_row(m=36, algorithm="nuclear")]
+        out = aggregate(rows)
+        assert [(row.sweep_value, row.algorithm) for row in out] == [
+            (0.5, "rsvm"), (0.75, "nuclear"), (0.75, "rsvm")]
+        failed = out[0]
+        assert failed.n_trials == failed.n_failures == 1
+        assert math.isnan(failed.nmse_db)
+        assert math.isnan(failed.mean_wall_time)
+        assert math.isnan(failed.nmse_db_mean_of_ratios)
+
     def test_groups_by_algorithm(self):
         rows = [make_row(), make_row(algorithm="nuclear", err_sq=2.0)]
         out = aggregate(rows)
@@ -268,12 +280,16 @@ class TestCli:
                      "--out", str(inst_path)])
         assert code == 0
         assert inst_path.exists()
+        est_path = tmp_path / "est.json"
         code = main(["solve", "--instance", str(inst_path),
-                     "--algorithm", "rsvm"])
+                     "--algorithm", "rsvm", "--out", str(est_path)])
         assert code == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         assert payload["nmse_db"] < -10.0
+        saved = json.loads(est_path.read_text())
+        assert np.shape(saved.pop("x_hat")) == (6, 6)
+        assert saved == payload
 
     @pytest.mark.parametrize("error, code", [
         (SolverDivergenceError("non-finite estimate at iteration 1"), 2),
@@ -336,6 +352,49 @@ class TestCli:
                      "--out", str(agg_path)])
         assert code == 0
         assert len(agg_path.read_text().splitlines()) == 2
+        capsys.readouterr()
+
+    def test_report_prints_table(self, tmp_path, capsys):
+        rows_path = tmp_path / "rows.csv"
+        write_csv([make_row(m=24, **FAILED), make_row(m=36)], rows_path)
+        assert main(["report", "--rows", str(rows_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["sweep_value", "algorithm", "nmse_db",
+                                    "trials", "failures"]
+        assert [line.split() for line in lines[1:]] == [
+            ["0.5", "rsvm", "nan", "1", "1"],
+            ["0.75", "rsvm", "-6.021", "1", "0"]]
+
+    @pytest.mark.parametrize("defect", ["no-file", "no-p-column",
+                                        "header-only"])
+    def test_report_bad_rows_exit_code(self, tmp_path, capsys, defect):
+        rows_path = tmp_path / "rows.csv"
+        if defect != "no-file":
+            write_csv([make_row()], rows_path)
+            header, row = rows_path.read_text().splitlines()
+            if defect == "no-p-column":
+                header = header.replace(",p,", ",width,")
+                rows_path.write_text(f"{header}\n{row}\n")
+            else:
+                rows_path.write_text(header + "\n")
+        agg_path = tmp_path / "agg.csv"
+        assert main(["report", "--rows", str(rows_path),
+                     "--out", str(agg_path)]) == 1
+        assert not agg_path.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_sweep_seed_and_jobs_overrides(self, tmp_path, capsys,
+                                           monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: seen.append(cfg) or [])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "completion", "p": 6, "q": 8, "r": 1,
+            "m_fraction": [0.6], "seed": 1, "jobs": 1}))
+        assert main(["sweep", "--config", str(cfg_path), "--seed", "7",
+                     "--jobs", "2", "--out", str(tmp_path / "rows.csv")]) == 0
+        assert (seen[0].seed, seen[0].jobs) == (7, 2)
         capsys.readouterr()
 
     def test_sweep_algorithm_override(self, tmp_path, capsys):
