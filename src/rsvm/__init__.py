@@ -1,8 +1,11 @@
 """Bayesian low-rank matrix reconstruction with Kronecker-structured priors.
 
-Public surface: tensor-algebra utilities, measurement-operator and
-instance construction, the full / symmetric / accelerated solvers, the
-nuclear-norm baseline, and the benchmark driver.
+Public surface: vec/unvec, the SPD inverse and the structured posterior
+covariance forms the solvers read, measurement-operator and instance
+construction, the full / symmetric / accelerated solvers, the
+nuclear-norm baseline, and the benchmark driver. Dense references (the
+pq x pq covariance, dense trace contractions, the nearest Kronecker sum)
+are test oracles in ``tests/naive_oracles.py``, not package code.
 """
 
 from .accel import BlockPartition, block_map_update, partition_blocks, solve_accelerated
@@ -37,15 +40,9 @@ from .kronops import (
     BlockCovariance,
     CompletionCovariance,
     FactorizationError,
-    KronSum,
     StructuredCovariance,
-    kron,
-    nearest_kron_sum,
-    posterior_covariance,
     spd_inverse,
     structured_covariance,
-    trace_contract_left,
-    trace_contract_right,
     unvec,
     vec,
 )

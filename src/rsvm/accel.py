@@ -58,15 +58,12 @@ class BlockPartition:
         return len(self.columns)
 
 
-def partition_blocks(p: int, q: int, strategy: str = "columns",
-                     n_blocks: int = 4) -> BlockPartition:
+def partition_blocks(p: int, q: int, n_blocks: int = 4) -> BlockPartition:
     """Split the q columns into n_blocks contiguous near-equal groups.
 
-    Group sizes differ by at most one. "columns" is the only strategy:
-    column groups keep each block's prior Kronecker-structured.
+    Group sizes differ by at most one. Groups of whole columns keep each
+    block's prior Kronecker-structured.
     """
-    if strategy != "columns":
-        raise ValueError(f"unknown strategy {strategy!r}")
     k = int(n_blocks)
     if not 1 <= k <= q:
         raise ValueError(f"need 1 <= n_blocks <= {q}")
@@ -143,7 +140,7 @@ def solve_accelerated(inst: ProblemInstance,
     than the full solver's.
     """
     hyper = with_cap(hyper, DEFAULT_MAX_ITER)
-    part = part or partition_blocks(inst.p, inst.q, "columns", min(4, inst.q))
+    part = part or partition_blocks(inst.p, inst.q, min(4, inst.q))
     if k_sweeps < 1:
         raise ValueError("k_sweeps must be >= 1")
     ops = [_block_operator(inst.operator, flat) for flat in part.blocks]

@@ -178,7 +178,19 @@ def _point_params(cfg: ExperimentConfig, value):
     if p != q and (cfg.psd_truth or "rsvm-symmetric" in cfg.algorithms):
         what = "psd_truth" if cfg.psd_truth else "rsvm-symmetric"
         raise ConfigError(f"{what} needs p == q, got {p}x{q} {where}")
+    try:
+        sigma_n = _noise_sigma(cfg.scenario, p, q, r, m, cfg.snr_db)
+    except (OverflowError, ValueError):  # 10^(snr_db/10) overflows or is 0
+        sigma_n = math.nan
+    if not 0 < sigma_n < math.inf:
+        raise ConfigError(f"snr_db={cfg.snr_db!r} gives no finite positive "
+                          f"noise level {where}")
     return p, q, r, m
+
+
+def _noise_sigma(scenario, p, q, r, m, snr_db) -> float:
+    """The noise level of :func:`noise_sigma_for_snr` at snr_db decibels."""
+    return noise_sigma_for_snr(scenario, p, q, r, m, 10.0 ** (snr_db / 10.0))
 
 
 def make_instance(scenario, p, q, r, m, snr_db, psd_truth,
@@ -194,9 +206,8 @@ def make_instance(scenario, p, q, r, m, snr_db, psd_truth,
         op = completion_operator(p, q, m, op_seed)
     else:
         op = gaussian_operator(p, q, m, op_seed)
-    sigma_n = noise_sigma_for_snr(scenario, p, q, r, m,
-                                  10.0 ** (snr_db / 10.0))
-    return measure(op, truth, sigma_n, noise_seed)
+    return measure(op, truth, _noise_sigma(scenario, p, q, r, m, snr_db),
+                   noise_seed)
 
 
 def run_algorithm(name: str, inst, cfg: ExperimentConfig):

@@ -117,7 +117,8 @@ def _cmd_solve(args) -> int:
         "iterations": est.iterations,
         "converged": bool(est.converged),
     }
-    if inst.ground_truth is not None:
+    # NMSE is relative to the truth's energy: none without a nonzero truth
+    if inst.ground_truth is not None and inst.ground_truth.any():
         ratio = nmse(inst.ground_truth, est.x_hat)
         result["nmse_linear"] = ratio
         result["nmse_db"] = to_db(ratio)

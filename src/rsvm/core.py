@@ -220,8 +220,7 @@ def balance_precisions(prec: PrecisionState,
                           prec.beta)
 
 
-def neg_log_joint(state: SolverState, inst: ProblemInstance,
-                  hyper: Hyperparameters) -> float:
+def neg_log_joint(state: SolverState, inst: ProblemInstance) -> float:
     """Data misfit plus prior quadratic form, up to X-independent constants."""
     prec = state.precisions
     x = state.x_hat
@@ -270,8 +269,7 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
         _require_finite(state, it, "noise precision",
                         math.isfinite(state.precisions.beta))
 
-        trace.append(IterationRecord(it, rel,
-                                     neg_log_joint(state, inst, hyper),
+        trace.append(IterationRecord(it, rel, neg_log_joint(state, inst),
                                      state.precisions.beta, effective_rank(x)))
         if rel < hyper.tol:
             break

@@ -37,18 +37,15 @@ and pq - m missing entries of a completion mask are fewer):
   C C^T = K^{-1}. Its reads cost O(k pq (p + q) + k^2 pq) time and
   O(k pq) memory.
 
-Both offer the posterior mean (``apply``) and the three reads the solver
-updates make: ``contract_right``, ``contract_left`` and
-``trace_quadratic``. :class:`BlockCovariance` holds one form per column
-block (the prior restricted to column block b is alpha_r[b, b] kron
-alpha_l) and offers the same three reads.
-
-The dense functions are test references; no solver calls them.
-:func:`posterior_covariance` materializes Sigma either from its
-definition (``method="direct"``, a pq x pq inverse) or from the solvers'
-own structured form (``method="woodbury"``), so comparing the two checks
-the code every solve runs. ``trace_contract_*`` and
-:func:`nearest_kron_sum` read dense matrices.
+Both offer the posterior mean (``apply``: unvec(Sigma vec(Y))) and the
+three reads the solver updates make: ``contract_right(alpha_r)``, the
+p x p matrix tr(Sigma (alpha_r kron E_kl)) over the p x p single-entry
+matrices E_kl; ``contract_left(alpha_l)``, the q x q matrix
+tr(Sigma (E_kl kron alpha_l)); and ``trace_quadratic()``, tr(A Sigma A^T).
+:class:`BlockCovariance` holds one form per column block (the prior
+restricted to column block b is alpha_r[b, b] kron alpha_l) and offers
+the same three reads. No solve needs a dense pq x pq form; the dense
+references these are tested against live in ``tests/naive_oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,11 +64,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a kron b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(x, dtype=float).reshape(-1, order="F")
@@ -83,44 +75,6 @@ def unvec(v: np.ndarray, p: int, q: int) -> np.ndarray:
     if v.size != p * q:
         raise ValueError(f"cannot unvec length-{v.size} vector into {p}x{q}")
     return v.reshape((p, q), order="F")
-
-
-def _split_dims(sigma: np.ndarray, block: int) -> tuple[int, int]:
-    n = sigma.shape[0]
-    if sigma.ndim != 2 or sigma.shape[1] != n:
-        raise ValueError("sigma must be square")
-    if n % block != 0:
-        raise ValueError(f"sigma dimension {n} not divisible by {block}")
-    return n // block, block
-
-
-def trace_contract_right(sigma: np.ndarray, alpha_r: np.ndarray) -> np.ndarray:
-    """Contract a pq x pq covariance against the right precision.
-
-    Returns the p x p matrix with entries tr(sigma (alpha_r kron E_kl)),
-    E_kl the p x p single-entry basis matrices. Computed as a block
-    contraction instead of the quadratic basis loop.
-    """
-    alpha_r = np.asarray(alpha_r, dtype=float)
-    q = alpha_r.shape[0]
-    p, _ = _split_dims(np.asarray(sigma), q)
-    t = np.asarray(sigma, dtype=float).reshape(q, p, q, p)
-    # [out]_{kl} = sum_{a,b} alpha_r[b,a] * sigma[a*p+l, b*p+k]
-    return np.einsum("ba,albk->kl", alpha_r, t)
-
-
-def trace_contract_left(sigma: np.ndarray, alpha_l: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`trace_contract_right` for the left precision.
-
-    Returns the q x q matrix with entries tr(sigma (E_kl kron alpha_l)),
-    E_kl the q x q basis matrices.
-    """
-    alpha_l = np.asarray(alpha_l, dtype=float)
-    p = alpha_l.shape[0]
-    q, _ = _split_dims(np.asarray(sigma), p)
-    t = np.asarray(sigma, dtype=float).reshape(q, p, q, p)
-    # [out]_{kl} = sum_{i,j} alpha_l[j,i] * sigma[l*p+i, k*p+j]
-    return np.einsum("ji,likj->kl", alpha_l, t)
 
 
 def _spd_factor(m: np.ndarray) -> np.ndarray:
@@ -190,39 +144,7 @@ def _operator_parts(a):
     idx = getattr(a, "vec_indices", None)
     if idx is not None:
         return np.asarray(idx), None
-    return None, np.asarray(a.dense(), dtype=float)
-
-
-def posterior_covariance(
-    alpha_l: np.ndarray,
-    alpha_r: np.ndarray,
-    a,
-    beta: float,
-    method: str = "direct",
-) -> np.ndarray:
-    """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} as a
-    dense pq x pq matrix.
-
-    ``a`` may be a measurement operator, a dense m x pq array or a 1-d
-    integer array of observed vec indices. ``method="direct"`` inverts the
-    definition; ``"woodbury"`` materializes :func:`structured_covariance`,
-    the form the solvers use. Both agree.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    alpha_l = np.asarray(alpha_l, dtype=float)
-    alpha_r = np.asarray(alpha_r, dtype=float)
-    idx, dense = _operator_parts(a)
-    if method == "woodbury":
-        return structured_covariance(alpha_l, alpha_r, a, beta).dense()
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    mat = np.kron(alpha_r, alpha_l)
-    if idx is not None:
-        mat[idx, idx] += beta
-    else:
-        mat += beta * (dense.T @ dense)
-    return spd_inverse(mat)
+    return None, np.asarray(a.matrix, dtype=float)
 
 
 @dataclass
@@ -233,8 +155,7 @@ class StructuredCovariance:
     eigenbasis, where a p x q matrix Y reads U_l^T Y U_r. ``rows[:, t, :]``
     is the t-th of the k rows of Z, a p x q matrix; the p x k x q layout
     lets the mean and both contractions run as plain matrix products on
-    views. Nothing pq x pq is stored; :meth:`dense` (also ``np.asarray``)
-    materializes Sigma.
+    views. Nothing pq x pq is stored.
     """
 
     u_l: np.ndarray      # p x p eigenvectors of alpha_l
@@ -253,7 +174,7 @@ class StructuredCovariance:
         return self.u_l @ z @ self.u_r.T
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
-        """Same p x p result as ``trace_contract_right(dense(), alpha_r)``."""
+        """tr(Sigma (alpha_r kron E_kl)) over the p x p basis matrices."""
         p, k, q = self.rows.shape
         a = self.u_r.T @ np.asarray(alpha_r, dtype=float) @ self.u_r
         # sum_t Z_t a Z_t^T
@@ -263,7 +184,7 @@ class StructuredCovariance:
         return self.u_l @ mid @ self.u_l.T
 
     def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
-        """Same q x q result as ``trace_contract_left(dense(), alpha_l)``."""
+        """tr(Sigma (E_kl kron alpha_l)) over the q x q basis matrices."""
         p, k, q = self.rows.shape
         a = self.u_l.T @ np.asarray(alpha_l, dtype=float) @ self.u_l
         # sum_t Z_t^T a Z_t
@@ -276,19 +197,6 @@ class StructuredCovariance:
         """tr(A Sigma A^T) for the operator Sigma was built from."""
         return self.quadratic
 
-    def dense(self) -> np.ndarray:
-        """The pq x pq matrix (column-major vec convention)."""
-        p, k, q = self.rows.shape
-        e = np.kron(self.u_r, self.u_l)
-        z = self.rows.transpose(1, 2, 0).reshape(k, p * q)
-        mid = np.diag(vec(self.lam)) + self.sign * (z.T @ z)
-        return symmetrize(e @ mid @ e.T)
-
-    def __array__(self, dtype=None, copy=None):
-        out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-
 @dataclass
 class CompletionCovariance:
     """Sigma = (C_r kron C_l) - V K V^T over the observed entries of a
@@ -297,8 +205,7 @@ class CompletionCovariance:
     Built by :func:`structured_covariance`. ``left[:, t]`` = C_l[:, i_t]
     and ``right[:, t]`` = C_r[:, j_t] for the t-th observed entry
     (i_t, j_t), so V_t = vec(left[:, t] right[:, t]^T). Every read is a
-    k x k Hadamard product between the two sides; :meth:`dense` (also
-    ``np.asarray``) materializes Sigma.
+    k x k Hadamard product between the two sides.
     """
 
     c_l: np.ndarray      # p x p prior covariance alpha_l^{-1}
@@ -317,14 +224,14 @@ class CompletionCovariance:
         return h - (self.left * coef) @ self.right.T
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
-        """Same p x p result as ``trace_contract_right(dense(), alpha_r)``."""
+        """tr(Sigma (alpha_r kron E_kl)) over the p x p basis matrices."""
         a = np.asarray(alpha_r, dtype=float)
         m = self.right.T @ a @ self.right
         return float(np.vdot(self.c_r, a)) * self.c_l \
             - (self.left @ (self.kmat * m)) @ self.left.T
 
     def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
-        """Same q x q result as ``trace_contract_left(dense(), alpha_l)``."""
+        """tr(Sigma (E_kl kron alpha_l)) over the q x q basis matrices."""
         a = np.asarray(alpha_l, dtype=float)
         m = self.left.T @ a @ self.left
         return float(np.vdot(self.c_l, a)) * self.c_r \
@@ -333,17 +240,6 @@ class CompletionCovariance:
     def trace_quadratic(self) -> float:
         """tr(A Sigma A^T) for the mask Sigma was built from."""
         return self.quadratic
-
-    def dense(self) -> np.ndarray:
-        """The pq x pq matrix (column-major vec convention)."""
-        (p, k), q = self.left.shape, self.c_r.shape[0]
-        v = (self.right[:, None, :] * self.left[None, :, :]).reshape(p * q, k)
-        return symmetrize(np.kron(self.c_r, self.c_l) - v @ self.kmat @ v.T)
-
-    def __array__(self, dtype=None, copy=None):
-        out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
-
 
 def _completion_covariance(alpha_l: np.ndarray, alpha_r: np.ndarray,
                            idx: np.ndarray, beta: float
@@ -372,10 +268,11 @@ def structured_covariance(
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} in
     one of the two Woodbury forms of the module docstring.
 
-    ``a`` is anything :func:`posterior_covariance` accepts; an index
-    array may be empty. A completion mask observing at most half the
-    entries gives a :class:`CompletionCovariance` over the m observed
-    entries: O(k^3 + k^2 (p + q)) to build and read. Dense sensing and
+    ``a`` is a measurement operator, a dense m x pq array or a 1-d
+    integer array of observed vec indices, which may be empty. A
+    completion mask observing at most half the entries gives a
+    :class:`CompletionCovariance` over the m observed entries:
+    O(k^3 + k^2 (p + q)) to build and read. Dense sensing and
     the missing side of completion (m > pq/2) give a
     :class:`StructuredCovariance` over k = m measurements or the pq - m
     missing entries: O(k^2 pq + k pq (p + q)). Either raises
@@ -455,13 +352,13 @@ class BlockCovariance:
     blocks: list[StructuredCovariance | CompletionCovariance]
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
-        """Same p x p result as ``trace_contract_right`` on the dense Sigma."""
+        """The p x p contraction of the module docstring, block summed."""
         alpha_r = np.asarray(alpha_r, dtype=float)
         return sum(s.contract_right(alpha_r[np.ix_(c, c)])
                    for c, s in zip(self.columns, self.blocks))
 
     def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
-        """Same q x q result as ``trace_contract_left`` on the dense Sigma."""
+        """The q x q contraction of the module docstring, block by block."""
         q = sum(c.size for c in self.columns)
         out = np.zeros((q, q))
         for c, s in zip(self.columns, self.blocks):
@@ -471,40 +368,3 @@ class BlockCovariance:
     def trace_quadratic(self) -> float:
         """tr(A Sigma A^T) when block b was built from A's columns in b."""
         return sum(s.trace_quadratic() for s in self.blocks)
-
-
-@dataclass
-class KronSum:
-    """Sum of Kronecker products sum_k (left_k kron right_k)."""
-
-    terms: list[tuple[np.ndarray, np.ndarray]]
-
-    def reconstruct(self) -> np.ndarray:
-        out = None
-        for left, right in self.terms:
-            term = np.kron(left, right)
-            out = term if out is None else out + term
-        return out
-
-
-def nearest_kron_sum(sigma: np.ndarray, p: int, s: int) -> KronSum:
-    """Best rank-s Kronecker-sum approximation of a p^2 x p^2 matrix.
-
-    Rearranges sigma so Kronecker terms become rank-1 terms, takes the top
-    s singular triplets, and folds them back into (left, right) factor
-    pairs. With s = p^2 the reconstruction is exact.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    n = p * p
-    if sigma.shape != (n, n):
-        raise ValueError(f"sigma must be {n}x{n} for p={p}")
-    if not 1 <= s <= n:
-        raise ValueError(f"s must be in [1, {n}]")
-    # R[(a,b),(i,j)] = sigma[a*p+i, b*p+j]; kron terms <-> rank-1 terms of R
-    r = sigma.reshape(p, p, p, p).transpose(0, 2, 1, 3).reshape(n, n)
-    u, sv, vt = np.linalg.svd(r)
-    terms = []
-    for k in range(s):
-        w = np.sqrt(sv[k])
-        terms.append((w * u[:, k].reshape(p, p), w * vt[k, :].reshape(p, p)))
-    return KronSum(terms)

@@ -53,7 +53,6 @@ class MeasurementOperator:
             self.m = mat.shape[0]
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
-        self._dense = None
 
     # -- vector-level actions ------------------------------------------------
 
@@ -85,17 +84,6 @@ class MeasurementOperator:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """unvec(A^T w) as a p x q matrix."""
         return unvec(self.apply_adjoint(w), self.p, self.q)
-
-    def dense(self) -> np.ndarray:
-        """Materialize A as an m x pq array (cached)."""
-        if self._dense is None:
-            if self.kind == COMPLETION:
-                a = np.zeros((self.m, self.p * self.q))
-                a[np.arange(self.m), self.vec_indices] = 1.0
-                self._dense = a
-            else:
-                self._dense = self.matrix
-        return self._dense
 
 
 @dataclass
@@ -218,14 +206,25 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     return doc
 
 
+def _integers(value, what: str) -> np.ndarray:
+    """``value`` as integers; ValueError unless each entry is integral."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.intp)
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    p, q = int(doc["p"]), int(doc["q"])
+    """Inverse of :func:`instance_to_dict`, checking p, q, m and indices."""
+    p, q = _integers([doc["p"], doc["q"]], "p and q").tolist()
     if doc["kind"] == COMPLETION:
-        ij = np.asarray(doc["indices"], dtype=np.intp)
+        ij = _integers(doc["indices"], "indices")
         op = MeasurementOperator(COMPLETION, p, q,
                                  vec_indices=ij[:, 1] * p + ij[:, 0])
     else:
         op = MeasurementOperator(DENSE, p, q, matrix=np.asarray(doc["matrix"]))
+    if doc["m"] != op.m:
+        raise ValueError(f"m = {doc['m']!r} but the operator has {op.m} rows")
     truth = doc.get("ground_truth")
     return ProblemInstance(
         operator=op,

@@ -20,7 +20,8 @@ from rsvm.sensing import (
     noise_sigma_for_snr,
 )
 
-from naive_oracles import dense_block_update, random_spd
+from naive_oracles import (dense_block_update, dense_operator, densify,
+                           random_spd)
 
 
 def noisy_instance(p, q, r, m, seed, snr=100.0):
@@ -32,21 +33,17 @@ def noisy_instance(p, q, r, m, seed, snr=100.0):
 
 class TestPartition:
     def test_near_equal_column_groups(self):
-        part = partition_blocks(15, 30, "columns", 4)
+        part = partition_blocks(15, 30, 4)
         sizes = [len(b) // 15 for b in part.blocks]
         assert sizes == [8, 8, 7, 7]
 
     def test_one_column_each(self):
-        part = partition_blocks(3, 4, "columns", 4)
+        part = partition_blocks(3, 4, 4)
         assert [len(b) for b in part.blocks] == [3, 3, 3, 3]
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            partition_blocks(3, 4, "columns", 5)
-        with pytest.raises(ValueError):
-            partition_blocks(3, 4, "rows", 2)
-        with pytest.raises(ValueError):
-            partition_blocks(3, 4, "diagonal", 2)
+            partition_blocks(3, 4, 5)
 
 
 class TestBlockMapUpdate:
@@ -55,11 +52,12 @@ class TestBlockMapUpdate:
         rng = np.random.default_rng(21)
         prec = PrecisionState(random_spd(rng, 3), random_spd(rng, 4), 1.4)
         state = SolverState(np.zeros((3, 4)), None, prec)
-        part = partition_blocks(3, 4, "columns", 1)
+        part = partition_blocks(3, 4, 1)
         xb, sigma_b = block_map_update(state, inst, part, 0)
         x_full, sigma_full = map_estimate(state, inst)
         np.testing.assert_allclose(xb, vec(x_full), rtol=1e-8)
-        np.testing.assert_allclose(sigma_b, sigma_full, rtol=1e-8)
+        np.testing.assert_allclose(densify(sigma_b, 3, 4),
+                                   densify(sigma_full, 3, 4), rtol=1e-8)
 
     @pytest.mark.parametrize("kind, m", [("completion", 5),
                                          ("completion", 15),
@@ -78,15 +76,16 @@ class TestBlockMapUpdate:
         inst = measure(op, generate_low_rank(p, q, 2, m), 0.1, m)
         prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
         state = SolverState(rng.standard_normal((p, q)), None, prec)
-        part = partition_blocks(p, q, "columns", 3)
+        part = partition_blocks(p, q, 3)
         for b in range(3):
             xb, sigma_b = block_map_update(state, inst, part, b)
             ref_x, ref_sigma = dense_block_update(
-                prec.alpha_l, prec.alpha_r, op.dense(), inst.y, prec.beta,
-                vec(state.x_hat), part.blocks[b])
+                prec.alpha_l, prec.alpha_r, dense_operator(op), inst.y,
+                prec.beta, vec(state.x_hat), part.blocks[b])
             np.testing.assert_allclose(xb, ref_x, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(sigma_b, ref_sigma, rtol=1e-9,
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                densify(sigma_b, p, part.columns[b].size), ref_sigma,
+                rtol=1e-9, atol=1e-12)
 
     def test_sweeps_converge_to_full_map(self):
         # fixed precisions: cyclic block descent reaches the joint solve
@@ -94,7 +93,7 @@ class TestBlockMapUpdate:
         rng = np.random.default_rng(23)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 4), 2.0)
         state = SolverState(np.zeros((4, 4)), None, prec)
-        part = partition_blocks(4, 4, "columns", 2)
+        part = partition_blocks(4, 4, 2)
         x_full, _ = map_estimate(state, inst)
         for _ in range(300):
             for b in range(part.n_blocks):
@@ -116,7 +115,7 @@ class TestBlockMapUpdate:
         beta = 1.7
         state = SolverState(np.zeros((p, q)), None,
                             PrecisionState(dl, dr, beta))
-        part = partition_blocks(p, q, "columns", 3)
+        part = partition_blocks(p, q, 3)
         prior_diag = np.kron(np.diag(dr), np.diag(dl))
         aty = inst.operator.apply_adjoint(inst.y)
         observed = np.zeros(p * q)
@@ -128,7 +127,7 @@ class TestBlockMapUpdate:
                                           + beta * observed[idx])
             np.testing.assert_allclose(xb, expected, rtol=1e-10)
             np.testing.assert_allclose(
-                sigma_b, np.diag(1.0 / (prior_diag[idx]
+                densify(sigma_b, p, 1), np.diag(1.0 / (prior_diag[idx]
                                         + beta * observed[idx])), rtol=1e-10)
 
     def test_objective_non_increasing_per_block(self):
@@ -136,16 +135,15 @@ class TestBlockMapUpdate:
         rng = np.random.default_rng(26)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 6), 1.2)
         state = SolverState(rng.standard_normal((4, 6)), None, prec)
-        part = partition_blocks(4, 6, "columns", 3)
-        hyper = Hyperparameters()
-        prev = neg_log_joint(state, inst, hyper)
+        part = partition_blocks(4, 6, 3)
+        prev = neg_log_joint(state, inst)
         for sweep in range(3):
             for b in range(part.n_blocks):
                 xb, _ = block_map_update(state, inst, part, b)
                 flat = vec(state.x_hat).copy()
                 flat[part.blocks[b]] = xb
                 state.x_hat = unvec(flat, 4, 6)
-                cur = neg_log_joint(state, inst, hyper)
+                cur = neg_log_joint(state, inst)
                 assert cur <= prev + 1e-10 * abs(prev)
                 prev = cur
 
@@ -153,7 +151,7 @@ class TestBlockMapUpdate:
 class TestSolveAccelerated:
     def test_single_block_reproduces_full_solver(self):
         inst = noisy_instance(5, 6, 2, 20, 27)
-        part = partition_blocks(5, 6, "columns", 1)
+        part = partition_blocks(5, 6, 1)
         hyper = Hyperparameters(max_iter=15)
         est_acc = solve_accelerated(inst, hyper, part=part, k_sweeps=2)
         est_full = solve(inst, hyper)
@@ -167,8 +165,7 @@ class TestSolveAccelerated:
         inst = noisy_instance(4, 8, 2, 18, 28)
         rng = np.random.default_rng(29)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 8), 1.5)
-        part = partition_blocks(4, 8, "columns", 4)
-        hyper = Hyperparameters()
+        part = partition_blocks(4, 8, 4)
         objectives = []
         for k_sweeps in (1, 2, 5, 10):
             state = SolverState(np.zeros((4, 8)), None,
@@ -181,14 +178,14 @@ class TestSolveAccelerated:
                     flat = vec(state.x_hat).copy()
                     flat[part.blocks[b]] = xb
                     state.x_hat = unvec(flat, 4, 8)
-            objectives.append(neg_log_joint(state, inst, hyper))
+            objectives.append(neg_log_joint(state, inst))
         assert all(b <= a + 1e-10 * abs(a)
                    for a, b in zip(objectives, objectives[1:]))
 
     def test_tracks_full_solver_in_benign_regime(self):
         inst = noisy_instance(6, 8, 1, 38, 30)
         est_acc = solve_accelerated(
-            inst, part=partition_blocks(6, 8, "columns", 4), k_sweeps=3)
+            inst, part=partition_blocks(6, 8, 4), k_sweeps=3)
         est_full = solve(inst)
         x = inst.ground_truth
         db_acc = 10 * np.log10(np.sum((x - est_acc.x_hat) ** 2) / np.sum(x * x))
@@ -202,7 +199,7 @@ class TestSolveAccelerated:
             0, 16, 2))
         inst = measure(op, generate_low_rank(p, q, 1, 38), 0.05, 39)
         est = solve_accelerated(inst, Hyperparameters(max_iter=5),
-                                partition_blocks(p, q, "columns", 3))
+                                partition_blocks(p, q, 3))
         assert np.all(np.isfinite(est.x_hat))
         assert est.iterations == 5
 
@@ -211,13 +208,12 @@ class TestSolveAccelerated:
         op = gaussian_operator(4, 5, 14, 33)
         sn = noise_sigma_for_snr("reconstruction", 4, 5, 1, 14, 100.0)
         inst = measure(op, x, sn, 34)
-        est = solve_accelerated(inst,
-                                part=partition_blocks(4, 5, "columns", 2))
+        est = solve_accelerated(inst, part=partition_blocks(4, 5, 2))
         assert np.all(np.isfinite(est.x_hat))
 
     def test_deterministic(self):
         inst = noisy_instance(4, 6, 1, 14, 35)
-        part = partition_blocks(4, 6, "columns", 3)
+        part = partition_blocks(4, 6, 3)
         a = solve_accelerated(inst, part=part)
         b = solve_accelerated(inst, part=part)
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
@@ -234,7 +230,7 @@ class TestSolveAccelerated:
         state = SolverState(np.zeros((18, 18)), None, prec)
 
         def rows(n_blocks):
-            part = partition_blocks(18, 18, "columns", n_blocks)
+            part = partition_blocks(18, 18, n_blocks)
             return [block_map_update(state, inst, part, b)[1].rows.shape[1]
                     for b in range(n_blocks)]
 

@@ -291,6 +291,20 @@ class TestCli:
         assert np.shape(saved.pop("x_hat")) == (6, 6)
         assert saved == payload
 
+    def test_solve_zero_truth_prints_no_nmse(self, tmp_path, capsys):
+        # NMSE is undefined against a zero truth; the estimate still prints
+        inst_path = tmp_path / "inst.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
+                     "--out", str(inst_path)]) == 0
+        doc = json.loads(inst_path.read_text())
+        doc["ground_truth"] = np.zeros((4, 4)).tolist()
+        inst_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_path),
+                     "--algorithm", "rsvm"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "nmse_db" not in payload and payload["iterations"] >= 1
+
     @pytest.mark.parametrize("error, code", [
         (SolverDivergenceError("non-finite estimate at iteration 1"), 2),
         (FactorizationError("Cholesky factorization failed"), 2),
@@ -325,7 +339,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [
         ["--p", "4", "--q", "4", "--r", "5"], ["--m-fraction", "1.5"],
-        ["--seed", "-1"]], ids=["rank", "m-fraction", "seed"])
+        ["--seed", "-1"], ["--snr-db", "4000"]],
+        ids=["rank", "m-fraction", "seed", "snr"])
     def test_gen_out_of_range_exit_code(self, tmp_path, capsys, args):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", *args, "--out", str(inst_path)]) == 1
@@ -471,7 +486,8 @@ class TestCli:
 
     @pytest.mark.parametrize("defect", [
         "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
-        "nan-sigma", "negative-sigma"])
+        "nan-sigma", "negative-sigma", "m-mismatch", "fractional-index",
+        "fractional-p"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -488,6 +504,13 @@ class TestCli:
                 doc["ground_truth"] = doc["ground_truth"][:3]
             elif defect == "inf-truth":
                 doc["ground_truth"][1][2] = float("inf")
+            elif defect == "m-mismatch":
+                doc["m"] = 3
+            elif defect == "fractional-index":
+                i, j = doc["indices"][0]
+                doc["indices"][0] = [i + 0.9, j + 0.4]
+            elif defect == "fractional-p":
+                doc["p"] = 4.5
             else:
                 doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
                     else -1.0
@@ -542,8 +565,12 @@ class TestCli:
         {"seed": 1.5},
         {"snr_db": "x"},
         {"p": 6.5},
+        {"snr_db": 4000},
+        {"snr_db": -4000},
+        {"snr_db": -3100},
     ], ids=["rank", "m-fraction-high", "m-fraction-low", "psd-non-square",
-            "fractional-seed", "text-snr", "fractional-p"])
+            "fractional-seed", "text-snr", "fractional-p", "huge-snr",
+            "tiny-snr", "inf-noise"])
     def test_out_of_range_point_exit_code(self, tmp_path, capsys,
                                           monkeypatch, point):
         # every point is checked before the first trial runs

@@ -114,7 +114,7 @@ class TestPowerIteration:
     def test_matches_dense_spectrum(self, p, q, m, seed):
         # 15x15-m67: close top eigenvalues; 200 power steps are 5.4e-3 low
         op = gaussian_operator(p, q, m, seed)
-        expected = np.linalg.norm(op.dense(), 2) ** 2
+        expected = np.linalg.norm(op.matrix, 2) ** 2
         assert abs(largest_gram_eigenvalue(op) - expected) <= 1e-12 * expected
 
     def test_empty_dense_operator(self):

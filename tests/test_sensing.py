@@ -19,6 +19,8 @@ from rsvm.sensing import (
     save_instance,
 )
 
+from naive_oracles import dense_operator
+
 
 class TestCompletionOperator:
     def test_full_observation_is_vec(self):
@@ -31,7 +33,7 @@ class TestCompletionOperator:
 
     def test_single_measurement(self):
         op = completion_operator(4, 5, 1, 2)
-        dense = op.dense()
+        dense = dense_operator(op)
         assert dense.shape == (1, 20)
         assert dense.sum() == 1.0
         assert set(np.unique(dense)) == {0.0, 1.0}

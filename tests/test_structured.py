@@ -26,11 +26,8 @@ from rsvm.core import (
 from rsvm.kronops import (
     CompletionCovariance,
     StructuredCovariance,
-    posterior_covariance,
     spd_inverse,
     structured_covariance,
-    trace_contract_left,
-    trace_contract_right,
     vec,
 )
 from rsvm.sensing import completion_operator, gaussian_operator, measure
@@ -39,7 +36,12 @@ from rsvm.symmetric import solve_symmetric
 from naive_oracles import (
     DenseCovariance,
     dense_map_solve,
+    dense_operator,
+    densify,
+    posterior_covariance,
     random_spd,
+    trace_contract_left,
+    trace_contract_right,
     trace_quadratic,
 )
 
@@ -99,7 +101,7 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
         k = m if kind == "gaussian" else p * q - m
         assert isinstance(sigma, StructuredCovariance)
         assert sigma.rows.shape == (p, k, q)
-    assert_close(sigma.dense(), ref)
+    assert_close(densify(sigma, p, q), ref)
     assert_close(sigma.contract_right(ar), trace_contract_right(ref, ar))
     new_l = random_spd(rng, p)  # update_precisions contracts a new alpha_l
     assert_close(sigma.contract_left(new_l), trace_contract_left(ref, new_l))
@@ -107,7 +109,7 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
     y = rng.standard_normal(m)
     x_hat = beta * sigma.apply(op.adjoint(y))
     assert_close(vec(x_hat),
-                 dense_map_solve(al, ar, op.dense(), y, beta))
+                 dense_map_solve(al, ar, dense_operator(op), y, beta))
 
 
 class TestStructuredCovariance:
@@ -115,7 +117,7 @@ class TestStructuredCovariance:
         op = completion_operator(2, 3, 6, 0)
         sigma = structured_covariance(np.eye(2), np.eye(3), op, 1.0)
         assert sigma.rows.shape[1] == 0
-        np.testing.assert_allclose(np.asarray(sigma), 0.5 * np.eye(6),
+        np.testing.assert_allclose(densify(sigma, 2, 3), 0.5 * np.eye(6),
                                    atol=1e-15)
         assert abs(sigma.trace_quadratic() - 3.0) <= 1e-15
 
@@ -126,7 +128,7 @@ class TestStructuredCovariance:
         sigma = structured_covariance(al, ar, np.array([], dtype=int), 0.5)
         assert isinstance(sigma, CompletionCovariance)
         prior = np.kron(spd_inverse(ar), spd_inverse(al))
-        np.testing.assert_allclose(sigma.dense(), prior, rtol=1e-12)
+        np.testing.assert_allclose(densify(sigma, 3, 2), prior, rtol=1e-12)
         np.testing.assert_allclose(sigma.contract_right(ar),
                                    trace_contract_right(prior, ar),
                                    rtol=1e-12)
@@ -160,7 +162,7 @@ class TestStructuredCovariance:
         assert isinstance(sigma, CompletionCovariance if m == 3
                           else StructuredCovariance)
         dense = SolverState(state.x_hat,
-                            DenseCovariance(sigma.dense(), op), prec)
+                            DenseCovariance(densify(sigma, 3, 4), op), prec)
         state.sigma = sigma
         hyper = Hyperparameters()
         got, ref = update_precisions(state, hyper), update_precisions(dense,

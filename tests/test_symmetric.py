@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from rsvm.core import Hyperparameters, PrecisionState, SolverState
-from rsvm.kronops import trace_contract_left, trace_contract_right
 from rsvm.sensing import completion_operator, measure, noise_sigma_for_snr
 from rsvm.symmetric import solve_symmetric, update_precision
 
-from naive_oracles import DenseCovariance, random_spd
+from naive_oracles import (DenseCovariance, random_spd, trace_contract_left,
+                           trace_contract_right)
 
 
 def psd_truth(p, r, seed):
