@@ -3,12 +3,15 @@
 Public surface: vec/unvec, the SPD inverse and the structured posterior
 covariance forms the solvers read, measurement-operator and instance
 construction, the full / symmetric / accelerated solvers, the
-nuclear-norm baseline, and the benchmark driver. Dense references (the
-pq x pq covariance, dense trace contractions, the nearest Kronecker sum)
-are test oracles in ``tests/naive_oracles.py``, not package code.
+accelerated solver's posterior step (``block_descent`` over the column
+groups of ``partition_blocks``), the nuclear-norm baseline with the
+singular-value soft-threshold its FISTA runs (``svt_prox``), and the
+benchmark driver. Dense references (the pq x pq covariance, dense trace
+contractions, the nearest Kronecker sum) are test oracles in
+``tests/naive_oracles.py``, not package code.
 """
 
-from .accel import BlockPartition, block_map_update, partition_blocks, solve_accelerated
+from .accel import block_descent, partition_blocks, solve_accelerated
 from .bench import (
     AggregateRow,
     ConfigError,

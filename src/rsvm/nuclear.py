@@ -41,18 +41,15 @@ def nuclear_norm(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
-def svt_prox(x: np.ndarray, tau: float) -> np.ndarray:
-    """Soft-threshold the singular values of x by tau."""
+def svt_prox(x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """Soft-threshold the singular values of x by tau; returns the result
+    and its nuclear norm."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
+    x = np.asarray(x, dtype=float)
     if tau == 0:
-        return np.asarray(x, dtype=float)
-    return _soft_threshold(x, tau)[0]
-
-
-def _soft_threshold(x: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-    """svt_prox(x, tau) and the nuclear norm of the result."""
-    u, s, vt = np.linalg.svd(np.asarray(x, dtype=float), full_matrices=False)
+        return x, nuclear_norm(x)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return (u * s) @ vt, float(s.sum())
 
@@ -89,7 +86,7 @@ def _prox_step(inst, x, step, lam):
     The soft-threshold already yields the result's singular values, so the
     objective needs no second SVD.
     """
-    cand, nuc = _soft_threshold(x - step * _grad(inst, x), step * lam)
+    cand, nuc = svt_prox(x - step * _grad(inst, x), step * lam)
     return cand, _objective(inst, cand, lam, nuc)
 
 

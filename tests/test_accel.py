@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rsvm.accel import block_map_update, partition_blocks, solve_accelerated
+import rsvm.accel
+from rsvm.accel import block_descent, partition_blocks, solve_accelerated
 from rsvm.core import (
     Hyperparameters,
     PrecisionState,
@@ -10,7 +11,7 @@ from rsvm.core import (
     neg_log_joint,
     solve,
 )
-from rsvm.kronops import unvec, vec
+from rsvm.kronops import vec
 from rsvm.sensing import (
     MeasurementOperator,
     completion_operator,
@@ -31,31 +32,49 @@ def noisy_instance(p, q, r, m, seed, snr=100.0):
     return measure(op, x, sn, [seed, 2])
 
 
+def flat_indices(p, q, cols):
+    """The vec(X) indices of the columns ``cols`` of a p x q matrix."""
+    return np.arange(p * q).reshape(q, p)[cols].ravel()
+
+
+def block_update(state, inst, cols):
+    """One conditional update of the columns ``cols``, the rest fixed:
+    a one-group, one-pass block-descent step."""
+    x, cov = block_descent(inst, [cols], 1)(state)
+    return x, cov.blocks[0]
+
+
 class TestPartition:
     def test_near_equal_column_groups(self):
-        part = partition_blocks(15, 30, 4)
-        sizes = [len(b) // 15 for b in part.blocks]
+        sizes = [len(c) for c in partition_blocks(30, 4)]
         assert sizes == [8, 8, 7, 7]
 
     def test_one_column_each(self):
-        part = partition_blocks(3, 4, 4)
-        assert [len(b) for b in part.blocks] == [3, 3, 3, 3]
+        columns = partition_blocks(4, 4)
+        assert [c.tolist() for c in columns] == [[0], [1], [2], [3]]
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            partition_blocks(3, 4, 5)
+            partition_blocks(4, 5)
+
+    @pytest.mark.parametrize("n_blocks", [0, 2.5, True, None])
+    def test_non_count_rejected(self, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks"):
+            partition_blocks(4, n_blocks)
 
 
 class TestBlockMapUpdate:
+    """The block-descent step, read one group and one pass at a time (the
+    conditional block update) or over whole partitions."""
+
     def test_single_block_is_full_map(self):
         inst = noisy_instance(3, 4, 1, 8, 20)
         rng = np.random.default_rng(21)
         prec = PrecisionState(random_spd(rng, 3), random_spd(rng, 4), 1.4)
         state = SolverState(np.zeros((3, 4)), None, prec)
-        part = partition_blocks(3, 4, 1)
-        xb, sigma_b = block_map_update(state, inst, part, 0)
+        xb, sigma_b = block_update(state, inst, partition_blocks(4, 1)[0])
         x_full, sigma_full = map_estimate(state, inst)
-        np.testing.assert_allclose(xb, vec(x_full), rtol=1e-8)
+        np.testing.assert_allclose(xb, x_full, rtol=1e-8)
         np.testing.assert_allclose(densify(sigma_b, 3, 4),
                                    densify(sigma_full, 3, 4), rtol=1e-8)
 
@@ -76,16 +95,15 @@ class TestBlockMapUpdate:
         inst = measure(op, generate_low_rank(p, q, 2, m), 0.1, m)
         prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
         state = SolverState(rng.standard_normal((p, q)), None, prec)
-        part = partition_blocks(p, q, 3)
-        for b in range(3):
-            xb, sigma_b = block_map_update(state, inst, part, b)
+        for cols in partition_blocks(q, 3):
+            xb, sigma_b = block_update(state, inst, cols)
             ref_x, ref_sigma = dense_block_update(
                 prec.alpha_l, prec.alpha_r, dense_operator(op), inst.y,
-                prec.beta, vec(state.x_hat), part.blocks[b])
-            np.testing.assert_allclose(xb, ref_x, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(
-                densify(sigma_b, p, part.columns[b].size), ref_sigma,
-                rtol=1e-9, atol=1e-12)
+                prec.beta, vec(state.x_hat), flat_indices(p, q, cols))
+            np.testing.assert_allclose(vec(xb[:, cols]), ref_x, rtol=1e-9,
+                                       atol=1e-12)
+            np.testing.assert_allclose(densify(sigma_b, p, cols.size),
+                                       ref_sigma, rtol=1e-9, atol=1e-12)
 
     def test_sweeps_converge_to_full_map(self):
         # fixed precisions: cyclic block descent reaches the joint solve
@@ -93,14 +111,9 @@ class TestBlockMapUpdate:
         rng = np.random.default_rng(23)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 4), 2.0)
         state = SolverState(np.zeros((4, 4)), None, prec)
-        part = partition_blocks(4, 4, 2)
         x_full, _ = map_estimate(state, inst)
-        for _ in range(300):
-            for b in range(part.n_blocks):
-                xb, _ = block_map_update(state, inst, part, b)
-                flat = vec(state.x_hat).copy()
-                flat[part.blocks[b]] = xb
-                state.x_hat = unvec(flat, 4, 4)
+        state.x_hat, _ = block_descent(inst, partition_blocks(4, 2),
+                                       300)(state)
         rel = (np.linalg.norm(state.x_hat - x_full, "fro")
                / np.linalg.norm(x_full, "fro"))
         assert rel < 1e-6
@@ -115,14 +128,14 @@ class TestBlockMapUpdate:
         beta = 1.7
         state = SolverState(np.zeros((p, q)), None,
                             PrecisionState(dl, dr, beta))
-        part = partition_blocks(p, q, 3)
         prior_diag = np.kron(np.diag(dr), np.diag(dl))
         aty = inst.operator.apply_adjoint(inst.y)
         observed = np.zeros(p * q)
         observed[inst.operator.vec_indices] = 1.0
-        for b in range(3):
-            idx = part.blocks[b]
-            xb, sigma_b = block_map_update(state, inst, part, b)
+        for cols in partition_blocks(q, 3):
+            idx = flat_indices(p, q, cols)
+            xb, sigma_b = block_update(state, inst, cols)
+            xb = vec(xb[:, cols])
             expected = beta * aty[idx] / (prior_diag[idx]
                                           + beta * observed[idx])
             np.testing.assert_allclose(xb, expected, rtol=1e-10)
@@ -135,14 +148,10 @@ class TestBlockMapUpdate:
         rng = np.random.default_rng(26)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 6), 1.2)
         state = SolverState(rng.standard_normal((4, 6)), None, prec)
-        part = partition_blocks(4, 6, 3)
         prev = neg_log_joint(state, inst)
         for sweep in range(3):
-            for b in range(part.n_blocks):
-                xb, _ = block_map_update(state, inst, part, b)
-                flat = vec(state.x_hat).copy()
-                flat[part.blocks[b]] = xb
-                state.x_hat = unvec(flat, 4, 6)
+            for cols in partition_blocks(6, 3):
+                state.x_hat, _ = block_update(state, inst, cols)
                 cur = neg_log_joint(state, inst)
                 assert cur <= prev + 1e-10 * abs(prev)
                 prev = cur
@@ -151,9 +160,8 @@ class TestBlockMapUpdate:
 class TestSolveAccelerated:
     def test_single_block_reproduces_full_solver(self):
         inst = noisy_instance(5, 6, 2, 20, 27)
-        part = partition_blocks(5, 6, 1)
         hyper = Hyperparameters(max_iter=15)
-        est_acc = solve_accelerated(inst, hyper, part=part, k_sweeps=2)
+        est_acc = solve_accelerated(inst, hyper, n_blocks=1, k_sweeps=2)
         est_full = solve(inst, hyper)
         rel = (np.linalg.norm(est_acc.x_hat - est_full.x_hat, "fro")
                / np.linalg.norm(est_full.x_hat, "fro"))
@@ -165,19 +173,14 @@ class TestSolveAccelerated:
         inst = noisy_instance(4, 8, 2, 18, 28)
         rng = np.random.default_rng(29)
         prec = PrecisionState(random_spd(rng, 4), random_spd(rng, 8), 1.5)
-        part = partition_blocks(4, 8, 4)
+        columns = partition_blocks(8, 4)
         objectives = []
         for k_sweeps in (1, 2, 5, 10):
             state = SolverState(np.zeros((4, 8)), None,
                                 PrecisionState(prec.alpha_l.copy(),
                                                prec.alpha_r.copy(),
                                                prec.beta))
-            for _ in range(k_sweeps):
-                for b in range(part.n_blocks):
-                    xb, _ = block_map_update(state, inst, part, b)
-                    flat = vec(state.x_hat).copy()
-                    flat[part.blocks[b]] = xb
-                    state.x_hat = unvec(flat, 4, 8)
+            state.x_hat, _ = block_descent(inst, columns, k_sweeps)(state)
             objectives.append(neg_log_joint(state, inst))
         assert all(b <= a + 1e-10 * abs(a)
                    for a, b in zip(objectives, objectives[1:]))
@@ -185,7 +188,7 @@ class TestSolveAccelerated:
     def test_tracks_full_solver_in_benign_regime(self):
         inst = noisy_instance(6, 8, 1, 38, 30)
         est_acc = solve_accelerated(
-            inst, part=partition_blocks(6, 8, 4), k_sweeps=3)
+            inst, n_blocks=4, k_sweeps=3)
         est_full = solve(inst)
         x = inst.ground_truth
         db_acc = 10 * np.log10(np.sum((x - est_acc.x_hat) ** 2) / np.sum(x * x))
@@ -198,8 +201,7 @@ class TestSolveAccelerated:
         op = MeasurementOperator("completion", p, q, vec_indices=np.arange(
             0, 16, 2))
         inst = measure(op, generate_low_rank(p, q, 1, 38), 0.05, 39)
-        est = solve_accelerated(inst, Hyperparameters(max_iter=5),
-                                partition_blocks(p, q, 3))
+        est = solve_accelerated(inst, Hyperparameters(max_iter=5), 3)
         assert np.all(np.isfinite(est.x_hat))
         assert est.iterations == 5
 
@@ -208,14 +210,13 @@ class TestSolveAccelerated:
         op = gaussian_operator(4, 5, 14, 33)
         sn = noise_sigma_for_snr("reconstruction", 4, 5, 1, 14, 100.0)
         inst = measure(op, x, sn, 34)
-        est = solve_accelerated(inst, part=partition_blocks(4, 5, 2))
+        est = solve_accelerated(inst, n_blocks=2)
         assert np.all(np.isfinite(est.x_hat))
 
     def test_deterministic(self):
         inst = noisy_instance(4, 6, 1, 14, 35)
-        part = partition_blocks(4, 6, 3)
-        a = solve_accelerated(inst, part=part)
-        b = solve_accelerated(inst, part=part)
+        a = solve_accelerated(inst, n_blocks=3)
+        b = solve_accelerated(inst, n_blocks=3)
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
     def test_smaller_blocks_fewer_woodbury_rows(self):
@@ -230,10 +231,38 @@ class TestSolveAccelerated:
         state = SolverState(np.zeros((18, 18)), None, prec)
 
         def rows(n_blocks):
-            part = partition_blocks(18, 18, n_blocks)
-            return [block_map_update(state, inst, part, b)[1].rows.shape[1]
-                    for b in range(n_blocks)]
+            _, cov = block_descent(inst, partition_blocks(18, n_blocks),
+                                   1)(state)
+            return [sigma.rows.shape[1] for sigma in cov.blocks]
 
         single = rows(1)
         assert single == [324 - 227]
         assert max(rows(6)) < single[0]
+
+    @pytest.mark.parametrize("setting", [
+        {"n_blocks": 2.5}, {"n_blocks": True}, {"n_blocks": 0},
+        {"n_blocks": 7}, {"k_sweeps": 2.5}, {"k_sweeps": True},
+        {"k_sweeps": 0}])
+    def test_invalid_settings_rejected(self, setting):
+        inst = noisy_instance(5, 6, 1, 14, 40)
+        with pytest.raises(ValueError):
+            solve_accelerated(inst, **setting)
+
+    def test_runs_block_descent(self, monkeypatch):
+        # the solver's posterior step is the block_descent the tests check
+        calls = []
+        real = rsvm.accel.block_descent
+
+        def spy(inst, columns, sweeps):
+            step = real(inst, columns, sweeps)
+
+            def counted(state):
+                calls.append((len(columns), sweeps))
+                return step(state)
+            return counted
+
+        monkeypatch.setattr(rsvm.accel, "block_descent", spy)
+        inst = noisy_instance(4, 6, 1, 14, 35)
+        est = solve_accelerated(inst, Hyperparameters(max_iter=4), 3,
+                                k_sweeps=2)
+        assert calls == [(3, 2)] * est.iterations

@@ -8,7 +8,7 @@ import time
 import numpy as np
 from numpy import kron
 
-from rsvm.accel import block_map_update, partition_blocks
+from rsvm.accel import block_descent, partition_blocks
 from rsvm.bench import ExperimentConfig, aggregate, run_experiment, write_csv
 from rsvm.core import (
     Hyperparameters,
@@ -18,7 +18,7 @@ from rsvm.core import (
     map_estimate,
     solve,
 )
-from rsvm.kronops import unvec, vec
+from rsvm.kronops import vec
 from rsvm.sensing import (
     completion_operator,
     gaussian_operator,
@@ -106,14 +106,8 @@ def test_criterion_03_block_descent_exactness():
         prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.5)
         state = SolverState(np.zeros((p, q)), None, prec)
         x_full, _ = map_estimate(state, inst)
-        part = partition_blocks(p, q, n_blocks)
-        for _ in range(400):
-            for b in range(part.n_blocks):
-                xb, _ = block_map_update(state, inst, part, b)
-                flat = vec(state.x_hat).copy()
-                flat[part.blocks[b]] = xb
-                state.x_hat = unvec(flat, p, q)
-        rel = (np.linalg.norm(state.x_hat - x_full, "fro")
+        x, _ = block_descent(inst, partition_blocks(q, n_blocks), 400)(state)
+        rel = (np.linalg.norm(x - x_full, "fro")
                / np.linalg.norm(x_full, "fro"))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

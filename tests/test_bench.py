@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -604,3 +607,36 @@ class TestCli:
         assert code == 1
         assert not rows_path.exists()
         assert "p == q" in capsys.readouterr().err
+
+
+class TestEntryModule:
+    """``rsvm_bench``, the module behind the ``rsvm-bench`` command."""
+
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+
+    def run_entry(self, args, preset=None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in self.THREAD_VARS}
+        env.update(preset or {})
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("preset, expected", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+        ids=["unset", "preset"])
+    def test_pins_one_blas_thread_unless_set(self, preset, expected):
+        # the variables must be in place before numpy loads its BLAS
+        probe = ("import sys, os, rsvm_bench; "
+                 "assert 'numpy' in sys.modules; "
+                 f"print(*(os.environ[v] for v in {self.THREAD_VARS!r}))")
+        done = self.run_entry(["-c", probe], preset)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == expected
+
+    def test_runs_the_cli(self):
+        done = self.run_entry(["-m", "rsvm_bench", "--help"])
+        assert done.returncode == 0, done.stderr
+        assert "sweep" in done.stdout

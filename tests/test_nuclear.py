@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rsvm.nuclear
 from rsvm.kronops import vec
 from rsvm.nuclear import (
     NuclearConfig,
@@ -33,28 +34,33 @@ def identity_instance(y_matrix, sigma_n=0.0):
 
 class TestSvtProx:
     def test_diagonal_thresholding(self):
-        out = svt_prox(np.diag([3.0, 1.0]), 2.0)
+        out, nuc = svt_prox(np.diag([3.0, 1.0]), 2.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+        assert nuc == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_tau_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(svt_prox(x, 0.0), x)
+        out, nuc = svt_prox(x, 0.0)
+        np.testing.assert_array_equal(out, x)
+        assert nuc == nuclear_norm(x)
 
     def test_large_tau_zeroes(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 5))
         top = np.linalg.svd(x, compute_uv=False)[0]
-        np.testing.assert_allclose(svt_prox(x, top + 1.0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(svt_prox(x, top + 1.0)[0], 0.0, atol=1e-12)
 
     def test_singular_values_shift(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
         tau = 0.6
         s_in = np.linalg.svd(x, compute_uv=False)
-        s_out = np.linalg.svd(svt_prox(x, tau), compute_uv=False)
+        out, nuc = svt_prox(x, tau)
+        s_out = np.linalg.svd(out, compute_uv=False)
         np.testing.assert_allclose(s_out, np.maximum(s_in - tau, 0.0),
                                    atol=1e-10)
+        assert nuc == pytest.approx(s_out.sum(), rel=1e-12)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +89,7 @@ class TestLagrangian:
         inst = identity_instance(ym)
         lam = 0.8
         out = solve_lagrangian(inst, lam)
-        np.testing.assert_allclose(out, svt_prox(ym, lam), rtol=1e-6,
+        np.testing.assert_allclose(out, svt_prox(ym, lam)[0], rtol=1e-6,
                                    atol=1e-8)
 
     @pytest.mark.parametrize("p, q, m, seed", [
@@ -123,6 +129,23 @@ class TestPowerIteration:
 
 
 class TestConstrained:
+    def test_fista_runs_svt_prox(self, monkeypatch):
+        # every FISTA step soft-thresholds through the svt_prox tested above
+        taus = []
+        real = rsvm.nuclear.svt_prox
+
+        def spy(x, tau):
+            taus.append(tau)
+            return real(x, tau)
+
+        monkeypatch.setattr(rsvm.nuclear, "svt_prox", spy)
+        inst = measure(completion_operator(6, 8, 34, 18),
+                       generate_low_rank(6, 8, 2, 17), 0.1, 19)
+        est = solve_constrained(inst, delta_from_sigma(34, 0.1))
+        assert est.iterations > 0
+        assert len(taus) >= est.iterations
+        assert all(tau > 0 for tau in taus)
+
     def test_huge_delta_returns_zero(self):
         rng = np.random.default_rng(12)
         inst = identity_instance(rng.standard_normal((3, 3)))
