@@ -103,17 +103,17 @@ def block_descent(inst: ProblemInstance, columns: list[np.ndarray],
 
 
 DEFAULT_MAX_ITER = 30
+N_BLOCKS = 4   # column groups (fewer when q is smaller)
+K_SWEEPS = 3   # block-descent passes per outer iteration
 
 
 def solve_accelerated(inst: ProblemInstance,
-                      hyper: Hyperparameters | None = None,
-                      n_blocks: int | None = None,
-                      k_sweeps: int = 3) -> Estimate:
+                      hyper: Hyperparameters | None = None) -> Estimate:
     """Full solver with the block-descent posterior step.
 
-    Posterior step: :func:`block_descent` with k_sweeps passes over
-    n_blocks column groups (default min(4, q)), warm-started from the
-    previous outer iteration. Precision step: the full-solver update on the
+    Posterior step: :func:`block_descent` with K_SWEEPS passes over
+    min(N_BLOCKS, q) column groups, warm-started from the previous outer
+    iteration. Precision step: the full-solver update on the
     block-diagonal covariance. See :func:`rsvm.core.iterate` for the loop
     and the per-iteration records in ``Estimate.trace``.
 
@@ -122,7 +122,6 @@ def solve_accelerated(inst: ProblemInstance,
     than the full solver's.
     """
     hyper = with_cap(hyper, DEFAULT_MAX_ITER)
-    columns = partition_blocks(
-        inst.q, min(4, inst.q) if n_blocks is None else n_blocks)
-    return iterate(inst, hyper, block_descent(inst, columns, k_sweeps),
-                   lambda state: update_precisions(state, hyper))
+    columns = partition_blocks(inst.q, min(N_BLOCKS, inst.q))
+    return iterate(inst, hyper, block_descent(inst, columns, K_SWEEPS),
+                   update_precisions)

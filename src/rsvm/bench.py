@@ -67,6 +67,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("completion", "reconstruction"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name, kinds, what in (
+                ("algorithms", (list, tuple), "a list of names"),
+                ("psd_truth", bool, "true or false"),
+                ("record_timing", bool, "true or false"),
+                ("output_path", (str, type(None)), "a path string")):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(
+                    f"{name} must be {what}, got {getattr(self, name)!r}")
+        self.algorithms = tuple(self.algorithms)
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")

@@ -150,8 +150,6 @@ def _load_config(path, overrides) -> ExperimentConfig:
         else _section(Hyperparameters, "hyper", hyper_doc)
     nuclear_cfg = _section(NuclearConfig, "nuclear_cfg",
                            doc.pop("nuclear_cfg", {}))
-    if "algorithms" in doc:
-        doc["algorithms"] = tuple(doc["algorithms"])
     doc.update(overrides)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(doc) - known

@@ -44,16 +44,18 @@ def require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+EPSILON = 1e-6  # precision-prior floor: EPSILON * I in the precision updates
+GAMMA_C = 1e-6  # shape of the vague gamma prior on the noise precision
+GAMMA_D = 1e-6  # rate of that prior
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Solver knobs.
+    """The stopping rule of the Bayesian solvers.
 
-    epsilon_scale is the scale of the precision-prior floor (eps * I added
-    inside the precision updates); c, d parameterize the gamma prior on the
-    noise precision. The precision updates carry no scale factor: balancing
-    fixes tr(alpha_l^-1) tr(alpha_r^-1) = ||X||_F^2, so a common factor on
-    both precisions would cancel. A failed Cholesky factorization is
-    retried with the fixed jitter schedule of :func:`rsvm.kronops.spd_inverse`.
+    The iteration stops when the relative Frobenius change of the estimate
+    drops below tol, which defines ``Estimate.converged``, or at max_iter.
+    The prior's constants are fixed: EPSILON, GAMMA_C and GAMMA_D.
 
     The iteration is semi-convergent on noisy data: once the fit starts
     chasing noise the estimated noise precision inflates and accuracy
@@ -67,17 +69,12 @@ class Hyperparameters:
     improving if run longer.
     """
 
-    epsilon_scale: float = 1e-6
-    c: float = 1e-6
-    d: float = 1e-6
     tol: float = 1e-6
     max_iter: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.epsilon_scale < math.inf and 0 < self.tol <= 1
-                and 0 <= self.c < math.inf and 0 <= self.d < math.inf):
-            raise ValueError("need finite epsilon_scale > 0, 0 < tol <= 1 "
-                             f"and finite c, d >= 0, got {self}")
+        if not 0 < self.tol <= 1:
+            raise ValueError(f"need 0 < tol <= 1, got {self}")
         if self.max_iter is not None:
             require_count("max_iter", self.max_iter)
 
@@ -151,7 +148,8 @@ def effective_rank(x: np.ndarray) -> int:
 
 
 def init_state(inst: ProblemInstance, hyper: Hyperparameters) -> SolverState:
-    """Identity precisions; beta0 = 10 m / ||y||^2 (1 when y = 0)."""
+    """Identity precisions; beta0 = 10 m / ||y||^2 (1 when y = 0).
+    ``hyper`` is unused, kept for existing callers."""
     p, q = inst.p, inst.q
     energy = float(inst.y @ inst.y)
     beta0 = 10.0 * inst.m / energy if energy > 0 else 1.0
@@ -170,34 +168,36 @@ def map_estimate(state: SolverState, inst: ProblemInstance
     return prec.beta * sigma.apply(rhs), sigma
 
 
-def update_precisions(state: SolverState,
-                      hyper: Hyperparameters) -> PrecisionState:
-    """Gauss-Seidel precision update: alpha_l first (old alpha_r), then alpha_r."""
+def update_precisions(state: SolverState) -> PrecisionState:
+    """Gauss-Seidel precision update: alpha_l first (old alpha_r), then
+    alpha_r, each the inverse of its second moment plus EPSILON * I.
+
+    No scale factor: balancing fixes tr(alpha_l^-1) tr(alpha_r^-1) =
+    ||X||_F^2, so a common factor on both precisions would cancel."""
     x = state.x_hat
     sigma = state.sigma
     prec = state.precisions
-    eps = hyper.epsilon_scale
     p, q = x.shape
 
     al = spd_inverse(sigma.contract_right(prec.alpha_r)
-                     + x @ prec.alpha_r @ x.T + eps * np.eye(p))
-    ar = spd_inverse(sigma.contract_left(al) + x.T @ al @ x + eps * np.eye(q))
+                     + x @ prec.alpha_r @ x.T + EPSILON * np.eye(p))
+    ar = spd_inverse(sigma.contract_left(al) + x.T @ al @ x
+                     + EPSILON * np.eye(q))
     return PrecisionState(al, ar, prec.beta)
 
 
-def update_noise_precision(state: SolverState, inst: ProblemInstance,
-                           hyper: Hyperparameters) -> float:
-    """Gamma-posterior mode for the noise precision.
+def update_noise_precision(state: SolverState, inst: ProblemInstance) -> float:
+    """Gamma-posterior mode for the noise precision, prior (GAMMA_C, GAMMA_D).
 
     Raises SolverDivergenceError when the denominator is not positive.
     """
     resid = inst.y - inst.operator.apply(vec(state.x_hat))
     denom = float(resid @ resid) + state.sigma.trace_quadratic() \
-        + 2.0 * hyper.d
+        + 2.0 * GAMMA_D
     if not denom > 0:
         raise SolverDivergenceError(
             "noise precision denominator must be positive", state)
-    return (inst.m + 2.0 * hyper.c) / denom
+    return (inst.m + 2.0 * GAMMA_C) / denom
 
 
 def balance_precisions(prec: PrecisionState,
@@ -265,7 +265,7 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
                         np.isfinite(prec.alpha_l).all()
                         and np.isfinite(prec.alpha_r).all())
         state.precisions = balance_precisions(state.precisions, x)
-        state.precisions.beta = update_noise_precision(state, inst, hyper)
+        state.precisions.beta = update_noise_precision(state, inst)
         _require_finite(state, it, "noise precision",
                         math.isfinite(state.precisions.beta))
 
@@ -290,8 +290,7 @@ def solve(inst: ProblemInstance,
     SolverDivergenceError.
     """
     hyper = with_cap(hyper, DEFAULT_MAX_ITER)
-    # The steps look map_estimate/update_precisions up at call time, so a
-    # wrapper installed on the module attribute sees every call.
-    return iterate(inst, hyper,
-                   lambda state: map_estimate(state, inst),
-                   lambda state: update_precisions(state, hyper))
+    # update_precisions is looked up when the solve starts, map_estimate at
+    # each call, so a wrapper installed before the solve sees every call.
+    return iterate(inst, hyper, lambda state: map_estimate(state, inst),
+                   update_precisions)

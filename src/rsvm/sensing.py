@@ -219,6 +219,8 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     p, q = _integers([doc["p"], doc["q"]], "p and q").tolist()
     if doc["kind"] == COMPLETION:
         ij = _integers(doc["indices"], "indices")
+        if ij.shape[1:] != (2,):
+            raise ValueError(f"indices must be (i, j) pairs, got {ij.shape}")
         op = MeasurementOperator(COMPLETION, p, q,
                                  vec_indices=ij[:, 1] * p + ij[:, 0])
     else:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_ITER,
+    EPSILON,
     Estimate,
     Hyperparameters,
     PrecisionState,
@@ -28,13 +29,12 @@ from .kronops import spd_inverse, symmetrize
 from .sensing import ProblemInstance
 
 
-def update_precision(state: SolverState,
-                     hyper: Hyperparameters) -> PrecisionState:
-    """alpha <- (2 X alpha X + pair + eps I)^{-1}.
+def update_precision(state: SolverState) -> PrecisionState:
+    """alpha <- (2 X alpha X + pair + EPSILON I)^{-1}.
 
     pair = state.sigma.contract_right(alpha) + contract_left(alpha), the
     covariance contracted against alpha on both sides, is positive definite
-    whenever Sigma and alpha are. Rounding is left to the eps I floor and
+    whenever Sigma and alpha are. Rounding is left to the EPSILON I floor and
     the jitter schedule of :func:`rsvm.kronops.spd_inverse`, which raises
     FactorizationError when both fall short. Returns alpha as both
     precisions.
@@ -42,8 +42,7 @@ def update_precision(state: SolverState,
     x, prec = state.x_hat, state.precisions
     alpha = prec.alpha_l
     pair = state.sigma.contract_right(alpha) + state.sigma.contract_left(alpha)
-    mat = 2.0 * x @ alpha @ x + pair \
-        + hyper.epsilon_scale * np.eye(x.shape[0])
+    mat = 2.0 * x @ alpha @ x + pair + EPSILON * np.eye(x.shape[0])
     alpha = spd_inverse(mat)
     return PrecisionState(alpha, alpha, prec.beta)
 
@@ -66,5 +65,4 @@ def solve_symmetric(inst: ProblemInstance,
         x, sigma = map_estimate(state, inst)
         return symmetrize(x), sigma
 
-    return iterate(inst, hyper, posterior,
-                   lambda state: update_precision(state, hyper))
+    return iterate(inst, hyper, posterior, update_precision)

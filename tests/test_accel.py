@@ -7,9 +7,12 @@ from rsvm.core import (
     Hyperparameters,
     PrecisionState,
     SolverState,
+    iterate,
     map_estimate,
     neg_log_joint,
     solve,
+    update_precisions,
+    with_cap,
 )
 from rsvm.kronops import vec
 from rsvm.sensing import (
@@ -35,6 +38,15 @@ def noisy_instance(p, q, r, m, seed, snr=100.0):
 def flat_indices(p, q, cols):
     """The vec(X) indices of the columns ``cols`` of a p x q matrix."""
     return np.arange(p * q).reshape(q, p)[cols].ravel()
+
+
+def solve_partitioned(inst, n_blocks, sweeps, hyper=None):
+    """The accelerated solver with ``n_blocks`` column groups and ``sweeps``
+    passes in place of its fixed N_BLOCKS and K_SWEEPS."""
+    return iterate(inst, with_cap(hyper, rsvm.accel.DEFAULT_MAX_ITER),
+                   block_descent(inst, partition_blocks(inst.q, n_blocks),
+                                 sweeps),
+                   update_precisions)
 
 
 def block_update(state, inst, cols):
@@ -156,12 +168,18 @@ class TestBlockMapUpdate:
                 assert cur <= prev + 1e-10 * abs(prev)
                 prev = cur
 
+    @pytest.mark.parametrize("sweeps", [2.5, True, 0])
+    def test_non_count_sweeps_rejected(self, sweeps):
+        inst = noisy_instance(5, 6, 1, 14, 40)
+        with pytest.raises(ValueError, match="sweeps"):
+            block_descent(inst, partition_blocks(6, 2), sweeps)
+
 
 class TestSolveAccelerated:
     def test_single_block_reproduces_full_solver(self):
         inst = noisy_instance(5, 6, 2, 20, 27)
         hyper = Hyperparameters(max_iter=15)
-        est_acc = solve_accelerated(inst, hyper, n_blocks=1, k_sweeps=2)
+        est_acc = solve_partitioned(inst, 1, 2, hyper)
         est_full = solve(inst, hyper)
         rel = (np.linalg.norm(est_acc.x_hat - est_full.x_hat, "fro")
                / np.linalg.norm(est_full.x_hat, "fro"))
@@ -187,8 +205,7 @@ class TestSolveAccelerated:
 
     def test_tracks_full_solver_in_benign_regime(self):
         inst = noisy_instance(6, 8, 1, 38, 30)
-        est_acc = solve_accelerated(
-            inst, n_blocks=4, k_sweeps=3)
+        est_acc = solve_partitioned(inst, 4, 3)
         est_full = solve(inst)
         x = inst.ground_truth
         db_acc = 10 * np.log10(np.sum((x - est_acc.x_hat) ** 2) / np.sum(x * x))
@@ -201,7 +218,7 @@ class TestSolveAccelerated:
         op = MeasurementOperator("completion", p, q, vec_indices=np.arange(
             0, 16, 2))
         inst = measure(op, generate_low_rank(p, q, 1, 38), 0.05, 39)
-        est = solve_accelerated(inst, Hyperparameters(max_iter=5), 3)
+        est = solve_partitioned(inst, 3, 3, Hyperparameters(max_iter=5))
         assert np.all(np.isfinite(est.x_hat))
         assert est.iterations == 5
 
@@ -210,13 +227,13 @@ class TestSolveAccelerated:
         op = gaussian_operator(4, 5, 14, 33)
         sn = noise_sigma_for_snr("reconstruction", 4, 5, 1, 14, 100.0)
         inst = measure(op, x, sn, 34)
-        est = solve_accelerated(inst, n_blocks=2)
+        est = solve_partitioned(inst, 2, 3)
         assert np.all(np.isfinite(est.x_hat))
 
     def test_deterministic(self):
         inst = noisy_instance(4, 6, 1, 14, 35)
-        a = solve_accelerated(inst, n_blocks=3)
-        b = solve_accelerated(inst, n_blocks=3)
+        a = solve_partitioned(inst, 3, 3)
+        b = solve_partitioned(inst, 3, 3)
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
     def test_smaller_blocks_fewer_woodbury_rows(self):
@@ -239,15 +256,6 @@ class TestSolveAccelerated:
         assert single == [324 - 227]
         assert max(rows(6)) < single[0]
 
-    @pytest.mark.parametrize("setting", [
-        {"n_blocks": 2.5}, {"n_blocks": True}, {"n_blocks": 0},
-        {"n_blocks": 7}, {"k_sweeps": 2.5}, {"k_sweeps": True},
-        {"k_sweeps": 0}])
-    def test_invalid_settings_rejected(self, setting):
-        inst = noisy_instance(5, 6, 1, 14, 40)
-        with pytest.raises(ValueError):
-            solve_accelerated(inst, **setting)
-
     def test_runs_block_descent(self, monkeypatch):
         # the solver's posterior step is the block_descent the tests check
         calls = []
@@ -263,6 +271,5 @@ class TestSolveAccelerated:
 
         monkeypatch.setattr(rsvm.accel, "block_descent", spy)
         inst = noisy_instance(4, 6, 1, 14, 35)
-        est = solve_accelerated(inst, Hyperparameters(max_iter=4), 3,
-                                k_sweeps=2)
-        assert calls == [(3, 2)] * est.iterations
+        est = solve_accelerated(inst, Hyperparameters(max_iter=4))
+        assert calls == [(4, 3)] * est.iterations

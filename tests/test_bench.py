@@ -454,20 +454,19 @@ class TestCli:
         {"hyper": {"tol": math.nan}},
         {"hyper": {"tol": math.inf}},
         {"hyper": {"tol": 2.0}},
-        {"hyper": {"epsilon_scale": math.nan}},
-        {"hyper": {"epsilon_scale": math.inf}},
-        {"hyper": {"c": -5.0}},
-        {"hyper": {"d": math.nan}},
-        {"hyper": {"c": math.inf}},
         {"nuclear_cfg": {"fista_tol": math.nan}},
         {"nuclear_cfg": {"bisect_tol": math.inf}},
+        {"algorithms": 5},
+        {"algorithms": "rsvm"},
+        {"psd_truth": "false", "q": 6},  # square, so only the type is wrong
+        {"record_timing": "no"},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
             "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap",
             "fractional-matrices", "zero-measurements", "negative-jobs",
             "hyper-nan-tol", "hyper-inf-tol", "hyper-tol-above-one",
-            "hyper-nan-epsilon", "hyper-inf-epsilon", "hyper-negative-c",
-            "hyper-nan-d", "hyper-inf-c", "nuclear-nan-fista-tol",
-            "nuclear-inf-bisect-tol"])
+            "nuclear-nan-fista-tol", "nuclear-inf-bisect-tol",
+            "algorithms-number", "algorithms-string", "psd-truth-string",
+            "record-timing-string"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
                   "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
@@ -478,6 +477,23 @@ class TestCli:
                      "--out", str(tmp_path / "rows.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: " + next(iter(section)))
+
+    def test_output_path_type_error_exit_code(self, tmp_path, capsys,
+                                              monkeypatch):
+        # --out would override output_path, so the run goes without it
+        solves = []
+        monkeypatch.setattr(bench, "run_algorithm",
+                            lambda *args: solves.append(args))
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "completion", "p": 6, "q": 8, "r": 1,
+            "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
+            "algorithms": ["rsvm"], "output_path": 5}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: output_path")
+        assert solves == []
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize("doc", [[1], "completion", None, 3],
                              ids=["list", "string", "null", "number"])
@@ -490,7 +506,7 @@ class TestCli:
     @pytest.mark.parametrize("defect", [
         "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
         "nan-sigma", "negative-sigma", "m-mismatch", "fractional-index",
-        "fractional-p"])
+        "fractional-p", "wide-index"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -514,6 +530,8 @@ class TestCli:
                 doc["indices"][0] = [i + 0.9, j + 0.4]
             elif defect == "fractional-p":
                 doc["p"] = 4.5
+            elif defect == "wide-index":
+                doc["indices"] = [[i, j, 7] for i, j in doc["indices"]]
             else:
                 doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
                     else -1.0

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from rsvm import core
 from rsvm.accel import solve_accelerated
 from rsvm.core import (
+    EPSILON,
+    GAMMA_C,
+    GAMMA_D,
     Hyperparameters,
     PrecisionState,
     SolverDivergenceError,
@@ -129,50 +132,43 @@ class TestMapEstimate:
 class TestUpdatePrecisions:
     def test_zero_estimate_identity_sigma(self):
         p, q = 3, 4
-        hyper = Hyperparameters()
         state = SolverState(np.zeros((p, q)), DenseCovariance(np.eye(p * q)),
                             PrecisionState(np.eye(p), np.eye(q), 1.0))
-        prec = update_precisions(state, hyper)
-        eps = hyper.epsilon_scale
-        np.testing.assert_allclose(prec.alpha_l, np.eye(p) / (q + eps),
+        prec = update_precisions(state)
+        np.testing.assert_allclose(prec.alpha_l, np.eye(p) / (q + EPSILON),
                                    rtol=1e-12)
 
     def test_chained_alpha_r_value(self):
         # second half of the Gauss-Seidel pass evaluated from the formula
         p, q = 3, 4
-        hyper = Hyperparameters()
-        eps = hyper.epsilon_scale
         state = SolverState(np.zeros((p, q)), DenseCovariance(np.eye(p * q)),
                             PrecisionState(np.eye(p), np.eye(q), 1.0))
-        prec = update_precisions(state, hyper)
-        al_scalar = 1.0 / (q + eps)
-        expected_ar = 1.0 / (p * al_scalar + eps)
+        prec = update_precisions(state)
+        al_scalar = 1.0 / (q + EPSILON)
+        expected_ar = 1.0 / (p * al_scalar + EPSILON)
         np.testing.assert_allclose(prec.alpha_r, expected_ar * np.eye(q),
                                    rtol=1e-12)
 
     def test_matches_naive_gauss_seidel(self):
         rng = np.random.default_rng(12)
         p = q = 3
-        hyper = Hyperparameters()
         x = rng.standard_normal((p, q))
         sigma = random_spd(rng, p * q)
         al, ar = random_spd(rng, p), random_spd(rng, q)
         state = SolverState(x, DenseCovariance(sigma),
                             PrecisionState(al, ar, 1.0))
-        prec = update_precisions(state, hyper)
+        prec = update_precisions(state)
 
-        eps = hyper.epsilon_scale
         ref_al = np.linalg.inv(naive_sigma_right(sigma, ar, p, q)
-                               + x @ ar @ x.T + eps * np.eye(p))
+                               + x @ ar @ x.T + EPSILON * np.eye(p))
         ref_ar = np.linalg.inv(naive_sigma_left(sigma, ref_al, p, q)
-                               + x.T @ ref_al @ x + eps * np.eye(q))
+                               + x.T @ ref_al @ x + EPSILON * np.eye(q))
         np.testing.assert_allclose(prec.alpha_l, ref_al, rtol=1e-8)
         np.testing.assert_allclose(prec.alpha_r, ref_ar, rtol=1e-8)
 
 
 class TestUpdateNoisePrecision:
     def test_perfect_fit(self):
-        hyper = Hyperparameters(c=0.0, d=0.0)
         # choose x with A vec(x) == y via the identity operator
         p = q = 3
         op = identity_operator(p, q)
@@ -181,32 +177,32 @@ class TestUpdateNoisePrecision:
         x = np.asarray(op.adjoint(inst.y))
         sigma = DenseCovariance(0.5 * np.eye(9), op)
         state = SolverState(x, sigma, PrecisionState(np.eye(3), np.eye(3), 1.0))
-        beta = update_noise_precision(state, inst, hyper)
-        assert abs(beta - 9.0 / 4.5) <= 1e-12  # m / tr(A sigma A^T)
+        beta = update_noise_precision(state, inst)
+        # (m + 2c) / (tr(A sigma A^T) + 2d)
+        assert abs(beta - (9.0 + 2 * GAMMA_C) / (4.5 + 2 * GAMMA_D)) <= 1e-12
 
     def test_vanishing_sigma_gives_ml_estimate(self):
         inst = small_instance(15)
-        hyper = Hyperparameters(c=0.0, d=0.0)
         state = SolverState(np.zeros((3, 3)),
                             DenseCovariance(1e-300 * np.eye(9), inst.operator),
                             PrecisionState(np.eye(3), np.eye(3), 1.0))
-        beta = update_noise_precision(state, inst, hyper)
-        expected = inst.m / float(inst.y @ inst.y)
+        beta = update_noise_precision(state, inst)
+        expected = (inst.m + 2 * GAMMA_C) / (float(inst.y @ inst.y)
+                                             + 2 * GAMMA_D)
         assert abs(beta - expected) <= 1e-10 * expected
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(16)
         inst = small_instance(17, p=3, q=4, m=6)
-        hyper = Hyperparameters()
         x = rng.standard_normal((3, 4))
         sigma = random_spd(rng, 12)
         state = SolverState(x, DenseCovariance(sigma, inst.operator),
                             PrecisionState(np.eye(3), np.eye(4), 1.0))
-        beta = update_noise_precision(state, inst, hyper)
+        beta = update_noise_precision(state, inst)
         a = dense_operator(inst.operator)
         resid = inst.y - a @ vec(x)
-        expected = (inst.m + 2 * hyper.c) / (
-            resid @ resid + np.trace(a @ sigma @ a.T) + 2 * hyper.d)
+        expected = (inst.m + 2 * GAMMA_C) / (
+            resid @ resid + np.trace(a @ sigma @ a.T) + 2 * GAMMA_D)
         assert abs(beta - expected) <= 1e-10 * expected
 
     def test_non_positive_denominator_is_divergence(self):
@@ -216,7 +212,7 @@ class TestUpdateNoisePrecision:
                             DenseCovariance(-1e6 * np.eye(9), inst.operator),
                             PrecisionState(np.eye(3), np.eye(3), 1.0))
         with pytest.raises(SolverDivergenceError):
-            update_noise_precision(state, inst, Hyperparameters())
+            update_noise_precision(state, inst)
 
 
 class TestBalancePrecisions:
@@ -345,14 +341,13 @@ class TestSolveProperties:
 
     def test_precisions_stay_spd_and_beta_positive(self):
         inst = small_instance(27, p=4, q=5, m=12, noise=0.2)
-        hyper = Hyperparameters(max_iter=8)
-        state = init_state(inst, hyper)
+        state = init_state(inst, Hyperparameters(max_iter=8))
         for _ in range(8):
             state.x_hat, state.sigma = map_estimate(state, inst)
-            state.precisions = update_precisions(state, hyper)
+            state.precisions = update_precisions(state)
             state.precisions = balance_precisions(state.precisions,
                                                   state.x_hat)
-            state.precisions.beta = update_noise_precision(state, inst, hyper)
+            state.precisions.beta = update_noise_precision(state, inst)
             assert np.linalg.eigvalsh(state.precisions.alpha_l).min() > 0
             assert np.linalg.eigvalsh(state.precisions.alpha_r).min() > 0
             assert state.precisions.beta > 0
@@ -435,7 +430,7 @@ class TestIterate:
         hyper = Hyperparameters(max_iter=4)
 
         def precisions(state):
-            prec = update_precisions(state, hyper)
+            prec = update_precisions(state)
             getattr(prec, name)[0, 0] = np.nan
             return prec
 
@@ -448,7 +443,7 @@ class TestIterate:
     def test_non_finite_noise_precision_is_divergence(self, monkeypatch):
         inst = small_instance(55)
         monkeypatch.setattr(core, "update_noise_precision",
-                            lambda state, inst, hyper: float("inf"))
+                            lambda state, inst: float("inf"))
         with pytest.raises(SolverDivergenceError,
                            match="noise precision at iteration 1"):
             solve(inst)

@@ -164,14 +164,12 @@ class TestStructuredCovariance:
         dense = SolverState(state.x_hat,
                             DenseCovariance(densify(sigma, 3, 4), op), prec)
         state.sigma = sigma
-        hyper = Hyperparameters()
-        got, ref = update_precisions(state, hyper), update_precisions(dense,
-                                                                      hyper)
+        got, ref = update_precisions(state), update_precisions(dense)
         np.testing.assert_allclose(got.alpha_l, ref.alpha_l, rtol=1e-10)
         np.testing.assert_allclose(got.alpha_r, ref.alpha_r, rtol=1e-10)
-        assert abs(update_noise_precision(state, inst, hyper)
-                   - update_noise_precision(dense, inst, hyper)) \
-            <= 1e-12 * update_noise_precision(dense, inst, hyper)
+        assert abs(update_noise_precision(state, inst)
+                   - update_noise_precision(dense, inst)) \
+            <= 1e-12 * update_noise_precision(dense, inst)
 
 
 @pytest.mark.parametrize("m_frac", [0.1, 0.9])

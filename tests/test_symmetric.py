@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsvm.core import Hyperparameters, PrecisionState, SolverState
+from rsvm.core import EPSILON, PrecisionState, SolverState
 from rsvm.sensing import completion_operator, measure, noise_sigma_for_snr
 from rsvm.symmetric import solve_symmetric, update_precision
 
@@ -22,42 +22,37 @@ def sym_state(x, alpha, sigma):
 class TestUpdatePrecision:
     def test_zero_state_floor_only(self):
         p = 3
-        hyper = Hyperparameters()
         state = sym_state(np.zeros((p, p)), np.eye(p), np.zeros((p * p, p * p)))
-        out = update_precision(state, hyper)
-        np.testing.assert_allclose(
-            out.alpha_l, (1.0 / hyper.epsilon_scale) * np.eye(p),
-            rtol=1e-10)
+        out = update_precision(state)
+        np.testing.assert_allclose(out.alpha_l, (1.0 / EPSILON) * np.eye(p),
+                                   rtol=1e-10)
         assert out.alpha_r is out.alpha_l
 
     def test_identity_sigma_single_term(self):
         # sigma = I contracts to tr(alpha) I on each side, so the pair
         # sums to 2 tr(alpha) I
         p = 4
-        hyper = Hyperparameters()
         rng = np.random.default_rng(0)
         alpha = random_spd(rng, p)
         out = update_precision(
-            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)), hyper)
+            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)))
         expected = np.linalg.inv(
-            2.0 * np.trace(alpha) * np.eye(p)
-            + hyper.epsilon_scale * np.eye(p))
+            2.0 * np.trace(alpha) * np.eye(p) + EPSILON * np.eye(p))
         np.testing.assert_allclose(out.alpha_l, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_full_decomposition_matches_dense_contractions(self, p):
-        hyper = Hyperparameters()
         rng = np.random.default_rng(1)
         alpha = random_spd(rng, p)
         x = rng.standard_normal((p, p))
         x = 0.5 * (x + x.T)
         sigma = random_spd(rng, p * p)
-        out = update_precision(sym_state(x, alpha, sigma), hyper)
+        out = update_precision(sym_state(x, alpha, sigma))
         # dense reference: both contractions of sigma against alpha
         pair_sum = (trace_contract_right(sigma, alpha)
                     + trace_contract_left(sigma, alpha))
         expected = np.linalg.inv(2.0 * x @ alpha @ x + pair_sum
-                                 + hyper.epsilon_scale * np.eye(p))
+                                 + EPSILON * np.eye(p))
         np.testing.assert_allclose(out.alpha_l, expected, rtol=1e-8)
 
     def test_output_symmetrized(self):
@@ -66,8 +61,7 @@ class TestUpdatePrecision:
         alpha = random_spd(rng, p)
         alpha[0, 1] += 1e-13  # symmetric-but-perturbed input
         out = update_precision(
-            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)),
-            Hyperparameters())
+            sym_state(np.zeros((p, p)), alpha, np.eye(p * p)))
         np.testing.assert_array_equal(out.alpha_l, out.alpha_l.T)
 
 
