@@ -1,8 +1,9 @@
 """Bayesian low-rank matrix reconstruction with Kronecker-structured priors.
 
-Public surface: vec/unvec, the SPD inverse and the structured posterior
-covariance forms the solvers read, measurement-operator and instance
-construction, the full / symmetric / accelerated solvers, the
+Public surface: vec/unvec, the SPD inverse, the factored prior precision
+(``Prior``) and the structured posterior covariance forms the solvers
+read, measurement-operator and instance construction, the full /
+symmetric / accelerated solvers, the
 accelerated solver's posterior step (``block_descent`` over the column
 groups of ``partition_blocks``), the nuclear-norm baseline with the
 singular-value soft-threshold its FISTA runs (``svt_prox``), and the
@@ -43,6 +44,7 @@ from .kronops import (
     BlockCovariance,
     CompletionCovariance,
     FactorizationError,
+    Prior,
     StructuredCovariance,
     spd_inverse,
     structured_covariance,

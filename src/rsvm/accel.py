@@ -25,7 +25,7 @@ from .core import (
     update_precisions,
     with_cap,
 )
-from .kronops import BlockCovariance, structured_covariance
+from .kronops import BlockCovariance, Prior, structured_covariance
 from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
 
 
@@ -76,8 +76,10 @@ def block_descent(inst: ProblemInstance, columns: list[np.ndarray],
     Each group's local posterior, the other columns fixed, is a structured
     covariance with prior alpha_r[b, b] kron alpha_l. Its stand-in operator
     is built once here; its covariance once per call, shared across the
-    passes. One group and one pass give that group's conditional update;
-    one all-column group gives the full posterior mode.
+    passes. Every group reads the state's factorization of alpha_l; each
+    factors its own alpha_r[b, b] once per call. One group and one pass
+    give that group's conditional update; one all-column group gives the
+    full posterior mode.
 
     The returned BlockCovariance stands for the whole q-column posterior
     only when ``columns`` covers range(q) exactly once, as
@@ -90,9 +92,10 @@ def block_descent(inst: ProblemInstance, columns: list[np.ndarray],
     def posterior(state):
         prec = state.precisions
         x = state.x_hat.copy()
-        sigmas = [structured_covariance(prec.alpha_l,
-                                        prec.alpha_r[np.ix_(cols, cols)], op,
-                                        prec.beta)
+        sigmas = [structured_covariance(
+                      prec.prior_l,
+                      Prior.from_precision(prec.alpha_r[np.ix_(cols, cols)]),
+                      op, prec.beta)
                   for cols, op in zip(columns, ops)]
         for _ in range(sweeps):
             for cols, sigma in zip(columns, sigmas):

@@ -28,8 +28,8 @@ import numpy as np
 from .kronops import (
     BlockCovariance,
     CompletionCovariance,
+    Prior,
     StructuredCovariance,
-    spd_inverse,
     structured_covariance,
     unvec,
     vec,
@@ -73,8 +73,8 @@ class Hyperparameters:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.tol <= 1:
-            raise ValueError(f"need 0 < tol <= 1, got {self}")
+        if isinstance(self.tol, bool) or not 0 < self.tol <= 1:
+            raise ValueError(f"need 0 < tol <= 1 (not a bool), got {self}")
         if self.max_iter is not None:
             require_count("max_iter", self.max_iter)
 
@@ -89,11 +89,33 @@ def with_cap(hyper: Hyperparameters | None, cap: int) -> Hyperparameters:
     return replace(hyper, max_iter=hyper.max_iter or cap)
 
 
-@dataclass
+def _factored(side: str) -> property:
+    """The precision matrix of the Prior held in ``side``; assigning a
+    matrix factors it into a new Prior (a Prior is taken as it is)."""
+    def assign(self, value):
+        if not isinstance(value, Prior):
+            value = Prior.from_precision(value)
+        setattr(self, side, value)
+
+    return property(lambda self: getattr(self, side).matrix, assign,
+                    doc=f"The precision matrix of ``{side}``.")
+
+
 class PrecisionState:
-    alpha_l: np.ndarray
-    alpha_r: np.ndarray
-    beta: float
+    """The prior precisions, each a :class:`rsvm.kronops.Prior` (``prior_l``,
+    ``prior_r``), and the noise precision ``beta``. ``alpha_l`` and
+    ``alpha_r`` read and assign the matrices, so a matrix and its
+    factorization never disagree."""
+
+    alpha_l = _factored("prior_l")
+    alpha_r = _factored("prior_r")
+
+    def __init__(self, alpha_l, alpha_r, beta: float):
+        self.alpha_l, self.alpha_r, self.beta = alpha_l, alpha_r, beta
+
+    def __repr__(self) -> str:
+        return (f"PrecisionState(alpha_l={self.alpha_l!r}, "
+                f"alpha_r={self.alpha_r!r}, beta={self.beta!r})")
 
 
 @dataclass
@@ -162,7 +184,7 @@ def map_estimate(state: SolverState, inst: ProblemInstance
                             StructuredCovariance | CompletionCovariance]:
     """Posterior mode and structured covariance for the current precisions."""
     prec = state.precisions
-    sigma = structured_covariance(prec.alpha_l, prec.alpha_r, inst.operator,
+    sigma = structured_covariance(prec.prior_l, prec.prior_r, inst.operator,
                                   prec.beta)
     rhs = unvec(inst.operator.apply_adjoint(inst.y), inst.p, inst.q)
     return prec.beta * sigma.apply(rhs), sigma
@@ -170,7 +192,9 @@ def map_estimate(state: SolverState, inst: ProblemInstance
 
 def update_precisions(state: SolverState) -> PrecisionState:
     """Gauss-Seidel precision update: alpha_l first (old alpha_r), then
-    alpha_r, each the inverse of its second moment plus EPSILON * I.
+    alpha_r, each the inverse of its second moment plus EPSILON * I, as a
+    :meth:`rsvm.kronops.Prior.inverse_of`: one eigendecomposition per
+    second moment, no other inverse.
 
     No scale factor: balancing fixes tr(alpha_l^-1) tr(alpha_r^-1) =
     ||X||_F^2, so a common factor on both precisions would cancel."""
@@ -179,11 +203,12 @@ def update_precisions(state: SolverState) -> PrecisionState:
     prec = state.precisions
     p, q = x.shape
 
-    al = spd_inverse(sigma.contract_right(prec.alpha_r)
-                     + x @ prec.alpha_r @ x.T + EPSILON * np.eye(p))
-    ar = spd_inverse(sigma.contract_left(al) + x.T @ al @ x
-                     + EPSILON * np.eye(q))
-    return PrecisionState(al, ar, prec.beta)
+    left = Prior.inverse_of(sigma.contract_right(prec.alpha_r)
+                            + x @ prec.alpha_r @ x.T + EPSILON * np.eye(p))
+    al = left.matrix
+    right = Prior.inverse_of(sigma.contract_left(al) + x.T @ al @ x
+                             + EPSILON * np.eye(q))
+    return PrecisionState(left, right, prec.beta)
 
 
 def update_noise_precision(state: SolverState, inst: ProblemInstance) -> float:
@@ -206,18 +231,20 @@ def balance_precisions(prec: PrecisionState,
 
     g = sqrt(tr(alpha_l^-1) tr(alpha_r^-1)) / ||x_hat||_F matches the scale
     of the precisions to the estimate; h = sqrt(||alpha_r||_F/||alpha_l||_F)
-    equalizes their Frobenius norms. Skipped when ||x_hat||_F ~ 0.
+    equalizes their Frobenius norms. Both read the priors' eigenvalues v:
+    tr(alpha^-1) = sum(1/v) and ||alpha||_F = ||v||. The rescaled priors
+    keep their eigenvectors; nothing is inverted or factored. Skipped when
+    ||x_hat||_F ~ 0.
     """
     fx = float(np.linalg.norm(x_hat, "fro"))
     if fx < 1e-14:
         return prec
-    tl = float(np.trace(spd_inverse(prec.alpha_l)))
-    tr = float(np.trace(spd_inverse(prec.alpha_r)))
+    left, right = prec.prior_l, prec.prior_r
+    tl = float(np.sum(1.0 / left.values))
+    tr = float(np.sum(1.0 / right.values))
     g = np.sqrt(tl * tr) / fx
-    h = np.sqrt(np.linalg.norm(prec.alpha_r, "fro")
-                / np.linalg.norm(prec.alpha_l, "fro"))
-    return PrecisionState(prec.alpha_l * (g * h), prec.alpha_r * (g / h),
-                          prec.beta)
+    h = np.sqrt(np.linalg.norm(right.values) / np.linalg.norm(left.values))
+    return PrecisionState(left.scaled(g * h), right.scaled(g / h), prec.beta)
 
 
 def neg_log_joint(state: SolverState, inst: ProblemInstance) -> float:

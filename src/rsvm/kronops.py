@@ -5,9 +5,13 @@ Conventions used throughout the package:
 * ``vec`` stacks columns (column-major). Under this convention the prior
   quadratic form satisfies tr(L X R X^T) = vec(X)^T (R kron L) vec(X) for
   symmetric L, R, which is the identity the solver updates rely on.
-* Covariances/precisions are kept symmetric explicitly; inversions go
-  through Cholesky. A failed factorization is retried with a fixed
-  schedule of trace-scaled diagonal jitter (see :func:`_spd_factor`).
+* Covariances/precisions are kept symmetric explicitly. A prior
+  precision is a :class:`Prior`, factored once by one eigendecomposition
+  when it is formed; the covariance forms, balancing and every block of
+  the accelerated solver read that factorization. The one remaining
+  inverse, the completion form's k x k Gram matrix, goes through
+  Cholesky. A factorization that fails is retried with a fixed schedule
+  of trace-scaled diagonal jitter (see :func:`_jitter_schedule`).
 
 No solver forms the pq x pq posterior covariance
 Sigma = ((alpha_r kron alpha_l) + beta A^T A)^{-1}.
@@ -51,13 +55,14 @@ references these are tested against live in ``tests/naive_oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 
 class FactorizationError(np.linalg.LinAlgError):
-    """Cholesky kept failing after the jitter escalation schedule."""
+    """A matrix stayed not positive definite through the jitter schedule."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -77,21 +82,32 @@ def unvec(v: np.ndarray, p: int, q: int) -> np.ndarray:
     return v.reshape((p, q), order="F")
 
 
-def _spd_factor(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor (Fortran-ordered) of an SPD matrix.
-
-    Tries (m + m^T)/2 first; on failure retries with f I added, then 10 f I
-    and 100 f I, f = 1e-12 tr(m) / dim (1e-12 when that is not positive),
-    then raises :class:`FactorizationError`. Each attempt symmetrizes m
-    into the same buffer and factors it in place; m is never written.
+def _jitter_schedule(m: np.ndarray):
+    """The diagonal shifts an SPD factorization of m tries, in order: 0,
+    then f, 10 f and 100 f with f = 1e-12 tr(m) / dim (1e-12 when that is
+    not positive). Past the last one it raises :class:`FactorizationError`.
+    f is computed only once the unshifted attempt has failed.
     """
-    m = np.asarray(m, dtype=float)
+    yield 0.0
     dim = m.shape[0]
     floor = 1e-12 * abs(float(np.trace(m))) / dim if dim else 0.0
     if floor <= 0.0:
         floor = 1e-12
+    for k in range(3):
+        yield floor * 10.0**k
+
+
+def _spd_factor(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor (Fortran-ordered) of an SPD matrix.
+
+    Factors (m + m^T)/2 plus each shift of :func:`_jitter_schedule` in
+    turn until one succeeds. Each attempt symmetrizes m into the same
+    buffer and factors it in place; m is never written.
+    """
+    m = np.asarray(m, dtype=float)
+    dim = m.shape[0]
     buf = np.empty((dim, dim))
-    for eps in [0.0] + [floor * 10.0**k for k in range(3)]:
+    for eps in _jitter_schedule(m):
         np.add(m, m.T, out=buf)
         buf *= 0.5
         if eps:
@@ -105,6 +121,80 @@ def _spd_factor(m: np.ndarray) -> np.ndarray:
         f"Cholesky factorization failed for dim {dim} after jitter "
         "escalation"
     )
+
+
+def _spd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, d, u): s = (m + m^T)/2 plus the first shift of
+    :func:`_jitter_schedule` that leaves its eigenvalues positive, and
+    s = u diag(d) u^T. One eigendecomposition: a shift moves every
+    eigenvalue by itself. m is never written."""
+    m = np.asarray(m, dtype=float)
+    s = symmetrize(m)
+    d, u = np.linalg.eigh(s)
+    for eps in _jitter_schedule(m):
+        if d.size == 0 or d[0] + eps > 0:
+            if eps:
+                s[np.diag_indices(d.size)] += eps
+                d = d + eps
+            return s, d, u
+    raise FactorizationError(
+        f"eigenvalue {d[0]:.3g} not positive for dim {d.size} after jitter "
+        "escalation")
+
+
+def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u diag(w) u^T for w >= 0, as r r^T with r = u sqrt(w), which numpy
+    evaluates as one exactly symmetric rank-k update."""
+    r = u * np.sqrt(w)
+    return r @ r.T
+
+
+@dataclass(frozen=True)
+class Prior:
+    """A prior precision alpha = U diag(v) U^T with its eigendecomposition,
+    built by :meth:`from_precision` or :meth:`inverse_of`. The constructor
+    makes the arrays it is given read-only, without copying them, so the
+    matrix and its factorization cannot disagree; it raises
+    :class:`FactorizationError` unless every v is positive and finite.
+    C = alpha^{-1} = U diag(1/v) U^T and tr(C) = sum(1/v) need no inverse.
+    """
+
+    matrix: np.ndarray    # alpha, symmetric
+    values: np.ndarray    # v, positive, in the order of ``vectors``
+    vectors: np.ndarray   # U, orthonormal columns
+
+    def __post_init__(self):
+        if not np.all((self.values > 0) & (self.values < np.inf)):
+            raise FactorizationError(
+                f"prior eigenvalues must be positive and finite, got "
+                f"{self.values}")
+        for a in (self.matrix, self.values, self.vectors):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_precision(cls, alpha: np.ndarray) -> Prior:
+        """Factor (alpha + alpha^T)/2, jittered as :func:`_spd_eigh` does."""
+        s, v, u = _spd_eigh(alpha)
+        return cls(s, v, u)
+
+    @classmethod
+    def inverse_of(cls, s: np.ndarray) -> Prior:
+        """alpha = S^{-1} for an SPD S, jittered as :func:`_spd_eigh` does:
+        with S = U diag(d) U^T, alpha = U diag(1/d) U^T."""
+        _, d, u = _spd_eigh(s)
+        v = 1.0 / d
+        return cls(_gram(u, v), v, u)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """C = alpha^{-1}, formed on first read and kept (read-only)."""
+        c = _gram(self.vectors, 1.0 / self.values)
+        c.setflags(write=False)
+        return c
+
+    def scaled(self, c: float) -> Prior:
+        """The prior c alpha, c > 0, sharing the eigenvectors."""
+        return Prior(self.matrix * c, self.values * c, self.vectors)
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
@@ -241,32 +331,35 @@ class CompletionCovariance:
         """tr(A Sigma A^T) for the mask Sigma was built from."""
         return self.quadratic
 
-def _completion_covariance(alpha_l: np.ndarray, alpha_r: np.ndarray,
+def _completion_covariance(prior_l: Prior, prior_r: Prior,
                            idx: np.ndarray, beta: float
                            ) -> CompletionCovariance:
     """:class:`CompletionCovariance` for the observed vec indices ``idx``.
 
     G = C_l[I, I] o C_r[J, J] is the prior covariance among the observed
-    entries, and tr(A Sigma A^T) = tr(G - G K G) = <G, K> / beta.
+    entries, gathered from the sides C_l[:, I] and C_r[:, J], and
+    tr(A Sigma A^T) = tr(G - G K G) = <G, K> / beta.
     """
-    c_l, c_r = spd_inverse(alpha_l), spd_inverse(alpha_r)
+    c_l, c_r = prior_l.covariance, prior_r.covariance
     i, j = idx % c_l.shape[0], idx // c_l.shape[0]
-    gram = c_l[np.ix_(i, i)] * c_r[np.ix_(j, j)]
+    left, right = c_l[:, i], c_r[:, j]
+    gram = left[i] * right[j]
     kinv = gram.copy()
     kinv[np.diag_indices(idx.size)] += 1.0 / beta
     kmat = spd_inverse(kinv) if idx.size else kinv
-    return CompletionCovariance(c_l, c_r, i, j, c_l[:, i], c_r[:, j], kmat,
+    return CompletionCovariance(c_l, c_r, i, j, left, right, kmat,
                                 float(np.vdot(gram, kmat)) / beta)
 
 
 def structured_covariance(
-    alpha_l: np.ndarray,
-    alpha_r: np.ndarray,
+    prior_l: Prior,
+    prior_r: Prior,
     a,
     beta: float,
 ) -> StructuredCovariance | CompletionCovariance:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} in
-    one of the two Woodbury forms of the module docstring.
+    one of the two Woodbury forms of the module docstring, for the prior
+    precisions alpha_l and alpha_r of two :class:`Prior` factorizations.
 
     ``a`` is a measurement operator, a dense m x pq array or a 1-d
     integer array of observed vec indices, which may be empty. A
@@ -275,9 +368,9 @@ def structured_covariance(
     O(k^3 + k^2 (p + q)) to build and read. Dense sensing and
     the missing side of completion (m > pq/2) give a
     :class:`StructuredCovariance` over k = m measurements or the pq - m
-    missing entries: O(k^2 pq + k pq (p + q)). Either raises
-    :class:`FactorizationError` on a prior precision that is not positive
-    definite.
+    missing entries: O(k^2 pq + k pq (p + q)). Neither factors a prior
+    precision again: the observed side reads the priors' covariances, the
+    eigenbasis form their eigenvectors and eigenvalues.
 
     In the eigenbasis form, D = d_l d_r^T holds the prior precision's
     eigenvalues and the atoms Ah_t = U_l^T A_t U_r the Woodbury index rows
@@ -298,16 +391,12 @@ def structured_covariance(
     if beta <= 0:
         raise ValueError("beta must be positive")
     idx, dense = _operator_parts(a)
-    p, q = np.shape(alpha_l)[0], np.shape(alpha_r)[0]
+    p, q = prior_l.values.size, prior_r.values.size
     sensing = dense is not None
     if not sensing and 2 * idx.size <= p * q:
-        return _completion_covariance(alpha_l, alpha_r, idx, beta)
-    d_l, u_l = np.linalg.eigh(symmetrize(np.asarray(alpha_l, dtype=float)))
-    d_r, u_r = np.linalg.eigh(symmetrize(np.asarray(alpha_r, dtype=float)))
-    prior = np.outer(d_l, d_r)
-    if not prior.min() > 0:
-        raise FactorizationError(
-            "prior precision alpha_r kron alpha_l is not positive definite")
+        return _completion_covariance(prior_l, prior_r, idx, beta)
+    u_l, u_r = prior_l.vectors, prior_r.vectors
+    prior = np.outer(prior_l.values, prior_r.values)
     if sensing:
         atoms = u_l.T @ dense.reshape(-1, q, p).transpose(0, 2, 1) @ u_r
     else:

@@ -30,9 +30,10 @@ class NuclearConfig:
     max_bisect_iter: int = 60
 
     def __post_init__(self):
-        if not (0 < self.fista_tol < math.inf
-                and 0 < self.bisect_tol < math.inf):
-            raise ValueError(f"tolerances must be finite and > 0, got {self}")
+        tols = (self.fista_tol, self.bisect_tol)
+        if any(isinstance(t, bool) or not 0 < t < math.inf for t in tols):
+            raise ValueError(
+                f"tolerances must be finite, > 0 and not bools, got {self}")
         require_count("max_fista_iter", self.max_fista_iter)
         require_count("max_bisect_iter", self.max_bisect_iter)
 

@@ -25,7 +25,7 @@ from .core import (
     map_estimate,
     with_cap,
 )
-from .kronops import spd_inverse, symmetrize
+from .kronops import Prior, symmetrize
 from .sensing import ProblemInstance
 
 
@@ -34,17 +34,18 @@ def update_precision(state: SolverState) -> PrecisionState:
 
     pair = state.sigma.contract_right(alpha) + contract_left(alpha), the
     covariance contracted against alpha on both sides, is positive definite
-    whenever Sigma and alpha are. Rounding is left to the EPSILON I floor and
-    the jitter schedule of :func:`rsvm.kronops.spd_inverse`, which raises
-    FactorizationError when both fall short. Returns alpha as both
-    precisions.
+    whenever Sigma and alpha are. The new alpha is one
+    :meth:`rsvm.kronops.Prior.inverse_of`, a single eigendecomposition;
+    rounding is left to the EPSILON I floor and its jitter schedule, which
+    raises FactorizationError when both fall short. Returns that one Prior
+    as both precisions.
     """
     x, prec = state.x_hat, state.precisions
     alpha = prec.alpha_l
     pair = state.sigma.contract_right(alpha) + state.sigma.contract_left(alpha)
     mat = 2.0 * x @ alpha @ x + pair + EPSILON * np.eye(x.shape[0])
-    alpha = spd_inverse(mat)
-    return PrecisionState(alpha, alpha, prec.beta)
+    prior = Prior.inverse_of(mat)
+    return PrecisionState(prior, prior, prec.beta)
 
 
 def solve_symmetric(inst: ProblemInstance,

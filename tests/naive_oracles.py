@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rsvm.kronops import structured_covariance, unvec, vec
+from rsvm.kronops import Prior, structured_covariance, unvec, vec
 
 
 def naive_sigma_right(sigma, alpha_r, p, q):
@@ -38,6 +38,26 @@ def dense_map_solve(alpha_l, alpha_r, a_dense, y, beta):
     """Solve the normal equations of the posterior mode with plain numpy."""
     mat = np.kron(alpha_r, alpha_l) + beta * (a_dense.T @ a_dense)
     return np.linalg.solve(mat, beta * (a_dense.T @ y))
+
+
+def naive_precision_step(sigma, x, alpha_l, alpha_r, epsilon):
+    """The Gauss-Seidel precision update with numpy inverses of the second
+    moments: alpha_l first (old alpha_r), then alpha_r from the new one."""
+    p, q = x.shape
+    al = np.linalg.inv(sigma.contract_right(alpha_r) + x @ alpha_r @ x.T
+                       + epsilon * np.eye(p))
+    ar = np.linalg.inv(sigma.contract_left(al) + x.T @ al @ x
+                       + epsilon * np.eye(q))
+    return al, ar
+
+
+def naive_balance(alpha_l, alpha_r, x):
+    """Precision balancing from traces of numpy inverses and the matrices'
+    Frobenius norms."""
+    g = np.sqrt(np.trace(np.linalg.inv(alpha_l))
+                * np.trace(np.linalg.inv(alpha_r))) / np.linalg.norm(x)
+    h = np.sqrt(np.linalg.norm(alpha_r) / np.linalg.norm(alpha_l))
+    return alpha_l * (g * h), alpha_r * (g / h)
 
 
 def dense_block_update(alpha_l, alpha_r, a_dense, y, beta, x_flat, idx):
@@ -74,13 +94,16 @@ def posterior_covariance(alpha_l, alpha_r, a, beta, method="direct"):
 
     ``a`` is a measurement operator or a dense m x pq array.
     ``method="direct"`` inverts the definition with numpy; ``"woodbury"``
-    densifies :func:`rsvm.kronops.structured_covariance`.
+    densifies :func:`rsvm.kronops.structured_covariance` of the two
+    precisions' :class:`rsvm.kronops.Prior` factorizations.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     p, q = len(alpha_l), len(alpha_r)
     if method == "woodbury":
-        return densify(structured_covariance(alpha_l, alpha_r, a, beta), p, q)
+        return densify(structured_covariance(Prior.from_precision(alpha_l),
+                                             Prior.from_precision(alpha_r),
+                                             a, beta), p, q)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     a = a if isinstance(a, np.ndarray) else dense_operator(a)

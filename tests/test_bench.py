@@ -456,6 +456,7 @@ class TestCli:
         {"hyper": {"tol": 2.0}},
         {"nuclear_cfg": {"fista_tol": math.nan}},
         {"nuclear_cfg": {"bisect_tol": math.inf}},
+        {"hyper": {"tol": True}},
         {"algorithms": 5},
         {"algorithms": "rsvm"},
         {"psd_truth": "false", "q": 6},  # square, so only the type is wrong
@@ -465,8 +466,8 @@ class TestCli:
             "fractional-matrices", "zero-measurements", "negative-jobs",
             "hyper-nan-tol", "hyper-inf-tol", "hyper-tol-above-one",
             "nuclear-nan-fista-tol", "nuclear-inf-bisect-tol",
-            "algorithms-number", "algorithms-string", "psd-truth-string",
-            "record-timing-string"])
+            "hyper-bool-tol", "algorithms-number", "algorithms-string",
+            "psd-truth-string", "record-timing-string"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
                   "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,

@@ -24,7 +24,7 @@ from rsvm.core import (
     update_noise_precision,
     update_precisions,
 )
-from rsvm.kronops import vec
+from rsvm.kronops import Prior, vec
 from rsvm.sensing import (
     MeasurementOperator,
     completion_operator,
@@ -60,6 +60,13 @@ def small_instance(seed=0, p=3, q=3, m=5, noise=0.1):
     x = generate_low_rank(p, q, 1, [seed, 0])
     op = gaussian_operator(p, q, m, [seed, 1])
     return measure(op, x, noise, [seed, 2])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_tol_rejected(flag):
+    # 0 < True <= 1 holds, so a JSON true would otherwise run at tol = 1
+    with pytest.raises(ValueError, match="not a bool"):
+        Hyperparameters(tol=flag)
 
 
 class TestInitState:
@@ -111,6 +118,22 @@ class TestMapEstimate:
         rng = np.random.default_rng(9)
         prec = PrecisionState(random_spd(rng, 3), random_spd(rng, 3), 1.7)
         state = SolverState(np.zeros((3, 3)), None, prec)
+        x_hat, _ = map_estimate(state, inst)
+        ref = dense_map_solve(prec.alpha_l, prec.alpha_r,
+                              dense_operator(inst.operator), inst.y, prec.beta)
+        np.testing.assert_allclose(vec(x_hat), ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("side", ["alpha_l", "alpha_r"])
+    def test_assigned_precision_replaces_factorization(self, side):
+        # a state out of update_precisions carries factored priors; assigning
+        # a matrix must re-factor it, or the mean would use the old prior
+        inst = small_instance(12, p=4, q=3, m=7)
+        state = init_state(inst, Hyperparameters())
+        state.x_hat, state.sigma = map_estimate(state, inst)
+        state.precisions = update_precisions(state)
+        n = inst.p if side == "alpha_l" else inst.q
+        setattr(state.precisions, side, np.diag(np.linspace(0.5, 2.0, n)))
+        prec = state.precisions
         x_hat, _ = map_estimate(state, inst)
         ref = dense_map_solve(prec.alpha_l, prec.alpha_r,
                               dense_operator(inst.operator), inst.y, prec.beta)
@@ -431,7 +454,12 @@ class TestIterate:
 
         def precisions(state):
             prec = update_precisions(state)
-            getattr(prec, name)[0, 0] = np.nan
+            # a Prior's arrays are read-only: rebuild it with one NaN entry
+            side = name.replace("alpha", "prior")
+            prior = getattr(prec, side)
+            m = prior.matrix.copy()
+            m[0, 0] = np.nan
+            setattr(prec, side, Prior(m, prior.values, prior.vectors))
             return prec
 
         with pytest.raises(SolverDivergenceError,

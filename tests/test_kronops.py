@@ -6,7 +6,7 @@ from numpy import kron
 
 import rsvm
 from rsvm import kronops
-from rsvm.kronops import FactorizationError, spd_inverse, unvec, vec
+from rsvm.kronops import FactorizationError, Prior, spd_inverse, unvec, vec
 from rsvm.sensing import (
     MeasurementOperator,
     completion_operator,
@@ -115,8 +115,10 @@ class TestTraceContractions:
 
 
 # The SPD inverters of kronops. structured_covariance factors its Gram
-# matrix through the same helper (_spd_factor) and jitter schedule.
-INVERTERS = {"spd_inverse": spd_inverse}
+# matrix through the same helper (_spd_factor) and jitter schedule;
+# Prior.inverse_of, the precision steps' inverse, shares the schedule.
+INVERTERS = {"spd_inverse": spd_inverse,
+             "Prior.inverse_of": lambda m: Prior.inverse_of(m).matrix}
 
 
 class TestSpdInverse:
@@ -189,6 +191,49 @@ class TestSpdInverse:
         assert peak <= 2.5 * m.nbytes
         np.testing.assert_array_equal(out, out.T)
         assert np.abs(out @ m - np.eye(n)).max() <= 1e-10
+
+
+class TestPrior:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_factorization_matches_numpy(self, n):
+        rng = np.random.default_rng(20 + n)
+        s, alpha = random_spd(rng, n), random_spd(rng, n)
+        inv = Prior.inverse_of(s)
+        fresh = Prior.from_precision(alpha)
+        for prior, mat in ((inv, np.linalg.inv(s)), (fresh, alpha)):
+            ref = np.abs(mat).max()
+            assert np.abs(prior.matrix - mat).max() <= 1e-12 * ref
+            u, v = prior.vectors, prior.values
+            assert np.abs((u * v) @ u.T - mat).max() <= 1e-12 * ref
+            cov = np.linalg.inv(mat)
+            assert np.abs(prior.covariance - cov).max() \
+                <= 1e-12 * np.abs(cov).max()
+            scaled = prior.scaled(2.5)
+            np.testing.assert_array_equal(scaled.matrix, 2.5 * prior.matrix)
+            np.testing.assert_array_equal(scaled.values, 2.5 * v)
+        assert abs(np.sum(1.0 / inv.values) - np.trace(s)) \
+            <= 1e-12 * np.trace(s)
+
+    def test_arrays_read_only(self):
+        # the matrix can only change by building a new factorization
+        prior = Prior.from_precision(random_spd(np.random.default_rng(30), 3))
+        for a in (prior.matrix, prior.values, prior.vectors):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        # C is formed once per factorization and cannot be written either
+        assert prior.covariance is prior.covariance
+        with pytest.raises(ValueError):
+            prior.covariance[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_eigenvalues_rejected(self, bad):
+        prior = Prior.from_precision(random_spd(np.random.default_rng(31), 3))
+        values = prior.values.copy()
+        values[1] = bad
+        with pytest.raises(FactorizationError, match="positive and finite"):
+            Prior(prior.matrix, values, prior.vectors)
+        with pytest.raises(FactorizationError, match="positive and finite"):
+            prior.scaled(bad)
 
 
 class TestPosteriorCovariance:

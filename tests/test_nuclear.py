@@ -24,6 +24,14 @@ from rsvm.sensing import (
 )
 
 
+@pytest.mark.parametrize("field", ["fista_tol", "bisect_tol"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_tolerance_rejected(field, flag):
+    # 0 < True holds, so a JSON true would otherwise pass as tolerance 1
+    with pytest.raises(ValueError, match="not bools"):
+        NuclearConfig(**{field: flag})
+
+
 def identity_instance(y_matrix, sigma_n=0.0):
     p, q = y_matrix.shape
     op = MeasurementOperator("completion", p, q, vec_indices=np.arange(p * q))

@@ -3,7 +3,8 @@
 ``posterior_covariance(method="direct")`` and ``dense_map_solve`` build and
 solve the pq x pq system; both structured forms must reproduce them, no
 solver may allocate a pq x pq array, and the observed-side completion form
-allocates nothing k x pq.
+allocates nothing k x pq. One iteration on factored priors (precision step,
+balancing, posterior) must match the same iteration on plain matrices.
 """
 
 import tracemalloc
@@ -13,24 +14,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsvm.accel import solve_accelerated
+from rsvm.accel import block_descent, partition_blocks, solve_accelerated
 from rsvm.core import (
+    EPSILON,
     Hyperparameters,
     PrecisionState,
     SolverState,
+    balance_precisions,
     map_estimate,
     solve,
     update_noise_precision,
     update_precisions,
 )
 from rsvm.kronops import (
+    BlockCovariance,
     CompletionCovariance,
+    Prior,
     StructuredCovariance,
     spd_inverse,
     structured_covariance,
     vec,
 )
-from rsvm.sensing import completion_operator, gaussian_operator, measure
+from rsvm.sensing import (
+    completion_operator,
+    gaussian_operator,
+    generate_low_rank,
+    measure,
+)
 from rsvm.symmetric import solve_symmetric
 
 from naive_oracles import (
@@ -38,6 +48,8 @@ from naive_oracles import (
     dense_map_solve,
     dense_operator,
     densify,
+    naive_balance,
+    naive_precision_step,
     posterior_covariance,
     random_spd,
     trace_contract_left,
@@ -91,7 +103,8 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
     ar = spread_spd(rng, q, (1.0 - share) * log_spread)
     beta = 10.0 ** log_beta
 
-    sigma = structured_covariance(al, ar, op, beta)
+    sigma = structured_covariance(Prior.from_precision(al),
+                                  Prior.from_precision(ar), op, beta)
     ref = posterior_covariance(al, ar, op, beta, method="direct")
     if kind == "completion" and 2 * m <= p * q:
         # observed side: one rank-one Woodbury row per observed entry
@@ -115,7 +128,8 @@ def test_structured_matches_dense(p, q, kind, m_frac, seed, log_spread, share,
 class TestStructuredCovariance:
     def test_identity_prior_fully_observed(self):
         op = completion_operator(2, 3, 6, 0)
-        sigma = structured_covariance(np.eye(2), np.eye(3), op, 1.0)
+        sigma = structured_covariance(Prior.from_precision(np.eye(2)),
+                                      Prior.from_precision(np.eye(3)), op, 1.0)
         assert sigma.rows.shape[1] == 0
         np.testing.assert_allclose(densify(sigma, 2, 3), 0.5 * np.eye(6),
                                    atol=1e-15)
@@ -125,7 +139,9 @@ class TestStructuredCovariance:
         # an accelerated block may observe nothing: Sigma = C_r kron C_l
         rng = np.random.default_rng(7)
         al, ar = random_spd(rng, 3), random_spd(rng, 2)
-        sigma = structured_covariance(al, ar, np.array([], dtype=int), 0.5)
+        sigma = structured_covariance(Prior.from_precision(al),
+                                      Prior.from_precision(ar),
+                                      np.array([], dtype=int), 0.5)
         assert isinstance(sigma, CompletionCovariance)
         prior = np.kron(spd_inverse(ar), spd_inverse(al))
         np.testing.assert_allclose(densify(sigma, 3, 2), prior, rtol=1e-12)
@@ -142,12 +158,14 @@ class TestStructuredCovariance:
     def test_indefinite_prior_rejected(self):
         op = completion_operator(2, 2, 2, 0)
         with pytest.raises(np.linalg.LinAlgError):
-            structured_covariance(np.diag([1.0, -1.0]), np.eye(2), op, 1.0)
+            structured_covariance(Prior.from_precision(np.diag([1.0, -1.0])),
+                                  Prior.from_precision(np.eye(2)), op, 1.0)
 
     def test_beta_must_be_positive(self):
         op = completion_operator(2, 2, 2, 0)
         with pytest.raises(ValueError):
-            structured_covariance(np.eye(2), np.eye(2), op, 0.0)
+            structured_covariance(Prior.from_precision(np.eye(2)),
+                                  Prior.from_precision(np.eye(2)), op, 0.0)
 
     @pytest.mark.parametrize("m", [3, 9])
     def test_precision_update_matches_dense_sigma(self, m):
@@ -204,7 +222,8 @@ def test_observed_completion_allocates_nothing_k_by_pq():
     y = rng.standard_normal((p, q))
     tracemalloc.start()
     try:
-        sigma = structured_covariance(al, ar, op, 2.0)
+        sigma = structured_covariance(Prior.from_precision(al),
+                                      Prior.from_precision(ar), op, 2.0)
         sigma.apply(y)
         sigma.contract_right(ar)
         sigma.contract_left(al)
@@ -213,3 +232,68 @@ def test_observed_completion_allocates_nothing_k_by_pq():
         tracemalloc.stop()
     assert isinstance(sigma, CompletionCovariance)
     assert peak < op.m * p * q * 8
+
+
+def max_rel(got, ref):
+    """Max-norm error relative to the reference's largest entry."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+# (operator kind, m, column groups or None for the full posterior) -> the
+# covariance form the posterior step builds
+FACTORED_CASES = {
+    "observed-completion": ("completion", 8, None, CompletionCovariance),
+    "missing-completion": ("completion", 18, None, StructuredCovariance),
+    "dense-sensing": ("gaussian", 10, None, StructuredCovariance),
+    "accel-blocks": ("completion", 14, 3, BlockCovariance),
+}
+
+
+@pytest.mark.parametrize("case", FACTORED_CASES)
+def test_factored_iteration_matches_matrix_reference(case):
+    # Criterion 2's style for the factored priors: a real precision step,
+    # balancing and posterior step against the same steps on matrices, with
+    # numpy inverses of the second moments, traces of numpy inverses and a
+    # fresh eigendecomposition of the balanced precisions.
+    kind, m, groups, form = FACTORED_CASES[case]
+    p, q = 4, 6
+    make = completion_operator if kind == "completion" else gaussian_operator
+    inst = measure(make(p, q, m, [71, m]), generate_low_rank(p, q, 2, [72, m]),
+                   0.1, [73, m])
+    if groups is None:
+        def posterior(state):
+            return map_estimate(state, inst)
+    else:
+        posterior = block_descent(inst, partition_blocks(q, groups), 2)
+    rng = np.random.default_rng([74, m])
+    prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
+    state = SolverState(np.zeros((p, q)), None, prec)
+    state.x_hat, state.sigma = posterior(state)
+    assert isinstance(state.sigma, form)
+    x = state.x_hat
+
+    stepped = update_precisions(state)
+    al, ar = naive_precision_step(state.sigma, x, prec.alpha_l, prec.alpha_r,
+                                  EPSILON)
+    worst = max(max_rel(stepped.alpha_l, al), max_rel(stepped.alpha_r, ar))
+
+    fast = balance_precisions(stepped, x)
+    al, ar = naive_balance(al, ar, x)
+    worst = max(worst, max_rel(fast.alpha_l, al), max_rel(fast.alpha_r, ar))
+
+    ref = PrecisionState(al, ar, prec.beta)  # factored afresh
+    x_fast, sigma_fast = posterior(SolverState(x, state.sigma, fast))
+    x_ref, sigma_ref = posterior(SolverState(x, state.sigma, ref))
+    worst = max(worst, max_rel(x_fast, x_ref),
+                max_rel(sigma_fast.contract_right(ar),
+                        sigma_ref.contract_right(ar)),
+                max_rel(sigma_fast.contract_left(al),
+                        sigma_ref.contract_left(al)),
+                max_rel(sigma_fast.trace_quadratic(),
+                        sigma_ref.trace_quadratic()))
+    if groups is None:
+        dense = dense_map_solve(al, ar, dense_operator(inst.operator), inst.y,
+                                prec.beta)
+        worst = max(worst, max_rel(vec(x_fast), dense))
+    assert worst <= 1e-10, worst
