@@ -29,7 +29,7 @@ from .bench import (
     to_db,
     write_csv,
 )
-from .core import Hyperparameters
+from .core import Hyperparameters, effective_rank
 from .nuclear import NuclearConfig
 from .sensing import COMPLETION, load_instance, save_instance
 
@@ -113,7 +113,7 @@ def _cmd_solve(args) -> int:
         return 2
     result = {
         "algorithm": args.algorithm,
-        "effective_rank": est.effective_rank,
+        "effective_rank": effective_rank(est.x_hat),
         "iterations": est.iterations,
         "converged": bool(est.converged),
     }

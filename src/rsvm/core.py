@@ -143,11 +143,10 @@ class IterationRecord:
 @dataclass
 class Estimate:
     """Solver output: point estimate plus convergence diagnostics; the
-    Bayesian solvers' ``trace`` holds one record per iteration."""
+    Bayesian solvers' ``trace`` holds one record per iteration, the last
+    one with the final noise precision and effective rank."""
 
     x_hat: np.ndarray
-    effective_rank: int
-    beta_hat: float
     iterations: int
     converged: bool
     trace: tuple[IterationRecord, ...] = ()
@@ -301,10 +300,9 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
         if rel < hyper.tol:
             break
         x_prev = x
-    last = trace[-1]
-    return Estimate(x_hat=state.x_hat, effective_rank=last.effective_rank,
-                    beta_hat=last.beta, iterations=len(trace),
-                    converged=last.rel_change < hyper.tol, trace=tuple(trace))
+    return Estimate(x_hat=state.x_hat, iterations=len(trace),
+                    converged=trace[-1].rel_change < hyper.tol,
+                    trace=tuple(trace))
 
 
 def solve(inst: ProblemInstance,

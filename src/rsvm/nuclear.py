@@ -14,28 +14,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Estimate, effective_rank, require_count
+from .core import Estimate
 from .kronops import unvec, vec
 from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
+
+FISTA_TOL = 1e-8        # FISTA stops at this relative objective change
+MAX_FISTA_ITER = 2000   # FISTA steps per weight
+MAX_BISECT_ITER = 60    # bisection weights per constrained solve
+LAMBDA_FLOOR = 1e-8     # smallest Lagrangian weight tried
 
 
 @dataclass(frozen=True)
 class NuclearConfig:
-    """FISTA and bisection tolerances and iteration caps; the constraint
-    radius is an argument of :func:`solve_constrained`."""
+    """Relative tolerance of the residual on the constraint radius, which
+    is an argument of :func:`solve_constrained`."""
 
-    fista_tol: float = 1e-8
     bisect_tol: float = 1e-3
-    max_fista_iter: int = 2000
-    max_bisect_iter: int = 60
 
     def __post_init__(self):
-        tols = (self.fista_tol, self.bisect_tol)
-        if any(isinstance(t, bool) or not 0 < t < math.inf for t in tols):
+        t = self.bisect_tol
+        if isinstance(t, bool) or not 0 < t < math.inf:
             raise ValueError(
                 f"tolerances must be finite, > 0 and not bools, got {self}")
-        require_count("max_fista_iter", self.max_fista_iter)
-        require_count("max_bisect_iter", self.max_bisect_iter)
 
 
 def nuclear_norm(x: np.ndarray) -> float:
@@ -91,28 +91,28 @@ def _prox_step(inst, x, step, lam):
     return cand, _objective(inst, cand, lam, nuc)
 
 
-def _fista(inst, lam, cfg, x0=None, lipschitz=None, objectives=None):
-    """Monotone FISTA with step 1/L; returns (x, iterations, converged).
+def _fista(inst, lam, x0, lip, objectives=None):
+    """Monotone FISTA from x0 with step 1/lip; returns (x, iterations).
 
-    L is ``lipschitz`` or :func:`largest_gram_eigenvalue`, exact, so a plain
+    lip is L = :func:`largest_gram_eigenvalue`, exact, so a plain
     proximal-gradient step of 1/L never increases the objective (Beck &
-    Teboulle 2009) and no backtracking is needed. If the extrapolated step
-    would increase the objective, the iterate is that plain step from the
-    previous iterate instead, and the momentum restarts. ``objectives``,
-    when given, collects the objective value of every accepted iterate.
+    Teboulle 2009) and no backtracking is needed (L = 0, an operator
+    without rows, steps by 1). If the extrapolated step would increase the
+    objective, the iterate is that plain step from the previous iterate
+    instead, and the momentum restarts. Stops when the relative objective
+    change drops below FISTA_TOL or after MAX_FISTA_ITER steps.
+    ``objectives``, when given, collects the objective value of every
+    accepted iterate.
     """
-    lip = largest_gram_eigenvalue(inst.operator) if lipschitz is None else lipschitz
-    if lip <= 0:
-        lip = 1.0
-    step = 1.0 / lip
-    x = np.zeros((inst.p, inst.q)) if x0 is None else np.array(x0, dtype=float)
+    step = 1.0 / lip if lip > 0 else 1.0
+    x = np.array(x0, dtype=float)
     z = x.copy()
     t = 1.0
     f = _objective(inst, x, lam, nuclear_norm(x))
     if objectives is not None:
         objectives.append(f)
     it = 0
-    for it in range(1, cfg.max_fista_iter + 1):
+    for it in range(1, MAX_FISTA_ITER + 1):
         cand, f_cand = _prox_step(inst, z, step, lam)
         if f_cand > f:
             cand, f_cand = _prox_step(inst, x, step, lam)
@@ -123,24 +123,24 @@ def _fista(inst, lam, cfg, x0=None, lipschitz=None, objectives=None):
         x, f, t = cand, f_cand, t_next
         if objectives is not None:
             objectives.append(f)
-        if rel < cfg.fista_tol:
-            return x, it, True
-    return x, it, False
+        if rel < FISTA_TOL:
+            break
+    return x, it
 
 
 def solve_lagrangian(inst: ProblemInstance, lam: float) -> np.ndarray:
     """Accelerated proximal-gradient minimizer of
-    0.5 ||y - A vec(X)||^2 + lam ||X||_*, from X = 0 with the default
-    :class:`NuclearConfig`."""
-    if lam <= 0:
+    0.5 ||y - A vec(X)||^2 + lam ||X||_*, from X = 0."""
+    if not lam > 0:
         raise ValueError("lam must be positive")
-    x, _, _ = _fista(inst, lam, NuclearConfig())
+    x, _ = _fista(inst, lam, np.zeros((inst.p, inst.q)),
+                  largest_gram_eigenvalue(inst.operator))
     return x
 
 
 def delta_from_sigma(m: int, sigma_n: float) -> float:
     """Constraint radius sigma_n * sqrt(m + sqrt(8 m))."""
-    if sigma_n < 0:
+    if not sigma_n >= 0:
         raise ValueError("sigma_n must be >= 0")
     return float(sigma_n * np.sqrt(m + np.sqrt(8.0 * m)))
 
@@ -149,83 +149,50 @@ def solve_constrained(inst: ProblemInstance, delta: float,
                       cfg: NuclearConfig | None = None) -> Estimate:
     """Tune the Lagrangian weight to meet the residual constraint.
 
-    Returns the zero matrix immediately when it is feasible. Otherwise a
-    warm-started continuation walks the weight down from the zero-solution
-    scale until the residual drops below delta (the residual is monotone
-    in the weight), then log-bisection refines inside the bracket. If even
-    the smallest bracketed weight leaves the residual at or above delta
-    (e.g. delta ~ 0), that nearest-feasible solution is returned, flagged
-    unconverged unless it meets the tolerance.
+    Returns the zero matrix at once when it is feasible. Otherwise one
+    loop of warm-started FISTA runs walks the weight: down by 4 per run
+    from a quarter of 2 ||A^T y|| (the zero-solution scale) to
+    LAMBDA_FLOOR until the residual drops below delta (the residual is
+    monotone in the weight), then log-bisection of that bracket for at
+    most MAX_BISECT_ITER weights. The first residual within
+    ``cfg.bisect_tol`` of delta ends the solve, converged. Otherwise the
+    result is unconverged: the bracket's solution closest to delta, or,
+    when even the floor weight leaves the residual above delta (e.g.
+    delta ~ 0), that nearest-feasible solution.
     """
     cfg = cfg or NuclearConfig()
     delta = float(delta)
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
-    p, q = inst.p, inst.q
-    y_norm = float(np.linalg.norm(inst.y))
+    x = np.zeros((inst.p, inst.q))
+    if float(np.linalg.norm(inst.y)) <= delta:
+        return Estimate(x_hat=x, iterations=0, converged=True)
 
-    def _estimate(x, iters, ok):
-        return Estimate(x_hat=x, effective_rank=effective_rank(x),
-                        beta_hat=float("nan"), iterations=iters, converged=ok)
-
-    if y_norm <= delta:
-        return _estimate(np.zeros((p, q)), 0, True)
-
-    lo = 1e-8
-    hi = 2.0 * float(np.linalg.norm(inst.operator.apply_adjoint(inst.y)))
-    hi = max(hi, 2.0 * lo)
     lip = largest_gram_eigenvalue(inst.operator)
-    total_iters = 0
-
-    def _residual_at(lam, warm):
-        nonlocal total_iters
-        x, its, _ = _fista(inst, lam, cfg, x0=warm, lipschitz=lip)
+    aty = inst.operator.apply_adjoint(inst.y)
+    lam_hi = max(2.0 * float(np.linalg.norm(aty)), 2.0 * LAMBDA_FLOOR)
+    lam = max(lam_hi / 4.0, LAMBDA_FLOOR)
+    lam_lo = None
+    total_iters = bisections = 0
+    while True:
+        x, its = _fista(inst, lam, x, lip)
         total_iters += its
         r = float(np.linalg.norm(inst.y - inst.operator.apply(vec(x))))
-        return x, r
-
-    def _within(r):
-        return abs(r - delta) <= cfg.bisect_tol * delta
-
-    # Continuation: decrease lambda geometrically (warm starts keep each
-    # solve cheap and carry the low-rank structure down the path) until
-    # the residual crosses delta or the bracket floor is hit.
-    lam_hi = hi
-    lam = hi / 4.0
-    warm = None
-    lam_lo = None
-    x_lo = None
-    while lam > lo:
-        x_cur, r_cur = _residual_at(lam, warm)
-        warm = x_cur
-        if _within(r_cur):
-            return _estimate(x_cur, total_iters, True)
-        if r_cur < delta:
-            lam_lo, x_lo, r_lo = lam, x_cur, r_cur
-            break
-        lam_hi = lam
-        lam /= 4.0
-    if lam_lo is None:
-        x_cur, r_cur = _residual_at(lo, warm)
-        if r_cur >= delta:
-            # even the smallest weight cannot reach delta: nearest feasible
-            return _estimate(x_cur, total_iters, _within(r_cur))
-        lam_lo, x_lo, r_lo = lo, x_cur, r_cur
-
-    best_x, best_gap = x_lo, abs(r_lo - delta)
-    warm = x_lo
-    lo_b, hi_b = lam_lo, lam_hi
-    for _ in range(cfg.max_bisect_iter):
-        mid = float(np.sqrt(lo_b * hi_b))
-        x_mid, r_mid = _residual_at(mid, warm)
-        warm = x_mid
-        gap = abs(r_mid - delta)
-        if gap < best_gap:
-            best_x, best_gap = x_mid, gap
-        if _within(r_mid):
-            return _estimate(x_mid, total_iters, True)
-        if r_mid < delta:
-            lo_b = mid
+        gap = abs(r - delta)
+        if gap <= cfg.bisect_tol * delta:
+            return Estimate(x_hat=x, iterations=total_iters, converged=True)
+        # the latest run until the bracket holds, then the nearest to delta
+        if lam_lo is None or gap < best_gap:
+            best_x, best_gap = x, gap
+        if r < delta:
+            lam_lo = lam
         else:
-            hi_b = mid
-    return _estimate(best_x, total_iters, False)
+            lam_hi = lam
+        if lam_lo is None and lam > LAMBDA_FLOOR:
+            lam = max(lam / 4.0, LAMBDA_FLOOR)
+        elif lam_lo is not None and bisections < MAX_BISECT_ITER:
+            bisections += 1
+            lam = float(np.sqrt(lam_lo * lam_hi))
+        else:
+            return Estimate(x_hat=best_x, iterations=total_iters,
+                            converged=False)

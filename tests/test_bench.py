@@ -445,16 +445,15 @@ class TestCli:
         {"hyper": {"jitter": 1e-8}},
         {"hyper": {"tol": -1}},
         {"nuclear_cfg": {"lambda_bracket": [1e-3, 1]}},
-        {"nuclear_cfg": {"fista_tol": 0}},
+        {"nuclear_cfg": {"bisect_tol": 0}},
         {"hyper": {"max_iter": 2.5}},
-        {"nuclear_cfg": {"max_fista_iter": 0}},
         {"n_matrices": 2.5},
         {"n_measurements": 0},
         {"jobs": -3},
         {"hyper": {"tol": math.nan}},
         {"hyper": {"tol": math.inf}},
         {"hyper": {"tol": 2.0}},
-        {"nuclear_cfg": {"fista_tol": math.nan}},
+        {"nuclear_cfg": {"bisect_tol": math.nan}},
         {"nuclear_cfg": {"bisect_tol": math.inf}},
         {"hyper": {"tol": True}},
         {"algorithms": 5},
@@ -462,10 +461,10 @@ class TestCli:
         {"psd_truth": "false", "q": 6},  # square, so only the type is wrong
         {"record_timing": "no"},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
-            "nuclear-invalid", "hyper-fractional-cap", "nuclear-zero-cap",
+            "nuclear-invalid", "hyper-fractional-cap",
             "fractional-matrices", "zero-measurements", "negative-jobs",
             "hyper-nan-tol", "hyper-inf-tol", "hyper-tol-above-one",
-            "nuclear-nan-fista-tol", "nuclear-inf-bisect-tol",
+            "nuclear-nan-bisect-tol", "nuclear-inf-bisect-tol",
             "hyper-bool-tol", "algorithms-number", "algorithms-string",
             "psd-truth-string", "record-timing-string"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):

@@ -394,7 +394,7 @@ class TestSolve:
         err_short = np.sum((x - short.x_hat) ** 2)
         err_long = np.sum((x - long.x_hat) ** 2)
         assert err_long < err_short
-        assert long.effective_rank == 1
+        assert long.trace[-1].effective_rank == 1
 
     def test_fully_observed_noiseless(self):
         x = generate_low_rank(10, 10, 2, 45)
@@ -418,7 +418,7 @@ class TestSolve:
         a = solve(inst)
         b = solve(inst)
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
-        assert a.beta_hat == b.beta_hat
+        assert a.trace[-1].beta == b.trace[-1].beta
         assert a.iterations == b.iterations
 
     @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS)
@@ -436,8 +436,7 @@ class TestSolve:
         assert [r.iteration for r in trace] == \
             list(range(1, est.iterations + 1))
         assert trace[0].rel_change == 1.0  # X_0 = 0, X_1 != 0
-        assert trace[-1].beta == est.beta_hat
-        assert trace[-1].effective_rank == est.effective_rank
+        assert trace[-1].effective_rank == effective_rank(est.x_hat)
         assert est.converged == (trace[-1].rel_change < hyper.tol)
         assert est.converged == (hyper.tol == 1e-2)
         assert all(r.rel_change >= hyper.tol for r in trace[:-1])

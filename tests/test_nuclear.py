@@ -24,7 +24,7 @@ from rsvm.sensing import (
 )
 
 
-@pytest.mark.parametrize("field", ["fista_tol", "bisect_tol"])
+@pytest.mark.parametrize("field", ["bisect_tol"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_bool_tolerance_rejected(field, flag):
     # 0 < True holds, so a JSON true would otherwise pass as tolerance 1
@@ -109,13 +109,15 @@ class TestLagrangian:
         op = gaussian_operator(p, q, m, seed)
         inst = measure(op, x, 0.05, 9)
         hist = []
-        _fista(inst, 0.3, NuclearConfig(), objectives=hist)
+        _fista(inst, 0.3, np.zeros((p, q)), largest_gram_eigenvalue(op),
+               objectives=hist)
         assert all(b <= a + 1e-10 * abs(a) for a, b in zip(hist, hist[1:]))
 
     def test_lambda_must_be_positive(self):
         inst = identity_instance(np.eye(2))
-        with pytest.raises(ValueError):
-            solve_lagrangian(inst, 0.0)
+        for lam in (0.0, math.nan):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                solve_lagrangian(inst, lam)
 
 
 class TestPowerIteration:
@@ -187,6 +189,23 @@ class TestConstrained:
         assert est.converged
         assert abs(resid - delta) <= cfg.bisect_tol * delta
 
+    def test_feasible_floor_weight_within_tolerance(self):
+        # the residual first drops below delta at the floor weight, within
+        # the tolerance: that solution is the answer, not a bisection above
+        ym = np.random.default_rng(0).standard_normal((3, 4))
+        inst = identity_instance(ym)
+        delta = 1.0002 * np.linalg.norm(ym - svt_prox(ym, 1e-8)[0])
+        est = solve_constrained(inst, delta)
+        resid = np.linalg.norm(inst.y - inst.operator.apply(vec(est.x_hat)))
+        assert est.converged
+        assert resid <= delta
+
+    def test_bad_delta_rejected(self):
+        inst = identity_instance(np.eye(2))
+        for delta in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="delta must be >= 0"):
+                solve_constrained(inst, delta)
+
     def test_residual_monotone_in_lambda(self):
         x = generate_low_rank(4, 5, 1, 20)
         op = gaussian_operator(4, 5, 12, 21)
@@ -219,6 +238,11 @@ class TestDeltaFromSigma:
 
     def test_zero_sigma(self):
         assert delta_from_sigma(50, 0.0) == 0.0
+
+    def test_bad_sigma_rejected(self):
+        for sigma_n in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="sigma_n must be >= 0"):
+                delta_from_sigma(10, sigma_n)
 
     def test_small_m_value(self):
         assert abs(delta_from_sigma(2, 1.0) - math.sqrt(6.0)) <= 1e-12
