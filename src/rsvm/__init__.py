@@ -55,7 +55,6 @@ from .nuclear import (
     NuclearConfig,
     delta_from_sigma,
     solve_constrained,
-    solve_lagrangian,
     svt_prox,
 )
 from .sensing import (

@@ -23,7 +23,6 @@ from .core import (
     iterate,
     require_count,
     update_precisions,
-    with_cap,
 )
 from .kronops import BlockCovariance, Prior, structured_covariance
 from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
@@ -121,10 +120,9 @@ def solve_accelerated(inst: ProblemInstance,
     and the per-iteration records in ``Estimate.trace``.
 
     The block-diagonal approximation slows per-outer-iteration progress,
-    so an unset ``hyper.max_iter`` means DEFAULT_MAX_ITER, a longer horizon
-    than the full solver's.
+    so the solver stops after DEFAULT_MAX_ITER iterations, a longer horizon
+    than the full solver's, unless ``hyper`` sets max_iter.
     """
-    hyper = with_cap(hyper, DEFAULT_MAX_ITER)
     columns = partition_blocks(inst.q, min(N_BLOCKS, inst.q))
     return iterate(inst, hyper, block_descent(inst, columns, K_SWEEPS),
-                   update_precisions)
+                   update_precisions, DEFAULT_MAX_ITER)

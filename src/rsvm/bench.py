@@ -79,6 +79,9 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"algorithms must not repeat a name, got "
+                              f"{list(self.algorithms)}")
         if not self.algorithms:
             raise ConfigError("no algorithms selected")
         if not _is_integer(self.seed) or self.seed < 0:

@@ -7,7 +7,8 @@ For fixed precisions the estimate is the regularized least-squares solve
 
 followed by closed-form updates of the left/right precision matrices, a
 rescaling step keeping the two precisions commensurate, and a gamma-prior
-update of the noise precision. Iterated to a relative-change tolerance.
+update of the noise precision. Iterated to an iteration cap or a
+relative-change tolerance (TOL).
 
 Sigma is never formed: :func:`map_estimate` returns it in a Woodbury form
 of :func:`rsvm.kronops.structured_covariance` (that module gives the forms
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,46 +48,33 @@ def require_count(name: str, value) -> None:
 EPSILON = 1e-6  # precision-prior floor: EPSILON * I in the precision updates
 GAMMA_C = 1e-6  # shape of the vague gamma prior on the noise precision
 GAMMA_D = 1e-6  # rate of that prior
+TOL = 1e-6      # stop when the estimate's relative change drops below this
+DEFAULT_MAX_ITER = 25
 
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """The stopping rule of the Bayesian solvers.
-
-    The iteration stops when the relative Frobenius change of the estimate
-    drops below tol, which defines ``Estimate.converged``, or at max_iter.
-    The prior's constants are fixed: EPSILON, GAMMA_C and GAMMA_D.
+    """The iteration cap of the Bayesian solvers.
 
     The iteration is semi-convergent on noisy data: once the fit starts
     chasing noise the estimated noise precision inflates and accuracy
     slowly degrades, so the moderate iteration cap acts as the stopping
     regularizer. max_iter=None (the default) leaves the cap to the solver
-    (:func:`with_cap`): 25 for :func:`solve` and the symmetric solver, 30
-    for the accelerated one, whose block-diagonal covariance progresses
-    more slowly per outer iteration. An integer caps every solver. The caps
-    are calibrated across the benchmark regimes (well-sampled problems peak
-    earlier, undersampled ones later); noiseless exact-recovery runs keep
-    improving if run longer.
+    (the ``cap`` of :func:`iterate`): DEFAULT_MAX_ITER (25) for
+    :func:`solve` and the symmetric solver, 30 for the accelerated one,
+    whose block-diagonal covariance progresses more slowly per outer
+    iteration. An integer caps every solver. The caps are calibrated
+    across the benchmark regimes (well-sampled problems peak earlier,
+    undersampled ones later); noiseless exact-recovery runs keep improving
+    if run longer. The relative-change stop TOL and the prior's constants
+    EPSILON, GAMMA_C and GAMMA_D are fixed.
     """
 
-    tol: float = 1e-6
     max_iter: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not 0 < self.tol <= 1:
-            raise ValueError(f"need 0 < tol <= 1 (not a bool), got {self}")
         if self.max_iter is not None:
             require_count("max_iter", self.max_iter)
-
-
-DEFAULT_MAX_ITER = 25
-
-
-def with_cap(hyper: Hyperparameters | None, cap: int) -> Hyperparameters:
-    """``hyper`` (``Hyperparameters()`` when None) with an unset max_iter
-    resolved to the calling solver's ``cap``."""
-    hyper = hyper or Hyperparameters()
-    return replace(hyper, max_iter=hyper.max_iter or cap)
 
 
 def _factored(side: str) -> property:
@@ -262,24 +250,26 @@ def _require_finite(state: SolverState, it: int, what: str,
                                     state)
 
 
-def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
-            precisions) -> Estimate:
+def iterate(inst: ProblemInstance, hyper: Hyperparameters | None, posterior,
+            precisions, cap: int) -> Estimate:
     """The iteration shared by the Bayesian solvers.
 
     Each iteration: posterior(state) -> (x_hat, sigma), precisions(state) ->
     PrecisionState, precision balancing, noise-precision update. Stops when
-    the relative Frobenius change of the estimate drops below hyper.tol or
-    at hyper.max_iter, which must be set (:func:`with_cap`). Every
-    iteration is returned as an :class:`IterationRecord` in
-    ``Estimate.trace``.
+    the relative Frobenius change of the estimate drops below TOL, which
+    sets ``Estimate.converged``, or after hyper.max_iter iterations, the
+    calling solver's ``cap`` when ``hyper`` (None means
+    ``Hyperparameters()``) leaves it unset. Every iteration is returned as
+    an :class:`IterationRecord` in ``Estimate.trace``.
 
     Raises SolverDivergenceError (with the offending state attached) if the
     estimate, a precision or the noise precision turns non-finite.
     """
+    hyper = hyper or Hyperparameters()
     state = init_state(inst, hyper)
     x_prev = state.x_hat
     trace = []
-    for it in range(1, hyper.max_iter + 1):
+    for it in range(1, (hyper.max_iter or cap) + 1):
         x, sigma = posterior(state)
         _require_finite(state, it, "estimate", np.isfinite(x).all())
         state.x_hat, state.sigma = x, sigma
@@ -297,11 +287,11 @@ def iterate(inst: ProblemInstance, hyper: Hyperparameters, posterior,
 
         trace.append(IterationRecord(it, rel, neg_log_joint(state, inst),
                                      state.precisions.beta, effective_rank(x)))
-        if rel < hyper.tol:
+        if rel < TOL:
             break
         x_prev = x
     return Estimate(x_hat=state.x_hat, iterations=len(trace),
-                    converged=trace[-1].rel_change < hyper.tol,
+                    converged=trace[-1].rel_change < TOL,
                     trace=tuple(trace))
 
 
@@ -310,12 +300,12 @@ def solve(inst: ProblemInstance,
     """Run the full solver until the estimate stabilizes.
 
     Posterior step: the exact posterior mode and covariance; precision step:
-    the Gauss-Seidel left/right update. See :func:`iterate` for the loop,
-    its stopping rule, the per-iteration records in ``Estimate.trace`` and
-    SolverDivergenceError.
+    the Gauss-Seidel left/right update. Stops after DEFAULT_MAX_ITER
+    iterations unless ``hyper`` sets max_iter. See :func:`iterate` for the
+    loop, its stopping rule, the per-iteration records in
+    ``Estimate.trace`` and SolverDivergenceError.
     """
-    hyper = with_cap(hyper, DEFAULT_MAX_ITER)
     # update_precisions is looked up when the solve starts, map_estimate at
     # each call, so a wrapper installed before the solve sees every call.
     return iterate(inst, hyper, lambda state: map_estimate(state, inst),
-                   update_precisions)
+                   update_precisions, DEFAULT_MAX_ITER)

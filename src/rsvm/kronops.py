@@ -388,7 +388,7 @@ def structured_covariance(
     one triangular solve, no k x k inverse. B and Z overwrite the atoms'
     buffer; only the final p x k x q transpose copies it.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     idx, dense = _operator_parts(a)
     p, q = prior_l.values.size, prior_r.values.size

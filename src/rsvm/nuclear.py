@@ -102,8 +102,10 @@ def _fista(inst, lam, x0, lip, objectives=None):
     instead, and the momentum restarts. Stops when the relative objective
     change drops below FISTA_TOL or after MAX_FISTA_ITER steps.
     ``objectives``, when given, collects the objective value of every
-    accepted iterate.
+    accepted iterate. Raises ValueError unless lam > 0.
     """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     step = 1.0 / lip if lip > 0 else 1.0
     x = np.array(x0, dtype=float)
     z = x.copy()
@@ -126,16 +128,6 @@ def _fista(inst, lam, x0, lip, objectives=None):
         if rel < FISTA_TOL:
             break
     return x, it
-
-
-def solve_lagrangian(inst: ProblemInstance, lam: float) -> np.ndarray:
-    """Accelerated proximal-gradient minimizer of
-    0.5 ||y - A vec(X)||^2 + lam ||X||_*, from X = 0."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    x, _ = _fista(inst, lam, np.zeros((inst.p, inst.q)),
-                  largest_gram_eigenvalue(inst.operator))
-    return x
 
 
 def delta_from_sigma(m: int, sigma_n: float) -> float:

@@ -23,7 +23,6 @@ from .core import (
     SolverState,
     iterate,
     map_estimate,
-    with_cap,
 )
 from .kronops import Prior, symmetrize
 from .sensing import ProblemInstance
@@ -56,9 +55,10 @@ def solve_symmetric(inst: ProblemInstance,
     balancing reduces to alpha -> alpha tr(alpha^-1) / ||X||_F. The
     estimate is projected onto symmetric matrices each iteration (Frobenius
     projection (X + X^T)/2); the precision step is :func:`update_precision`.
-    Every iteration is returned as a record in ``Estimate.trace``.
+    Stops after DEFAULT_MAX_ITER iterations, as :func:`rsvm.core.solve`
+    does, unless ``hyper`` sets max_iter. Every iteration is returned as a
+    record in ``Estimate.trace``.
     """
-    hyper = with_cap(hyper, DEFAULT_MAX_ITER)
     if inst.p != inst.q:
         raise ValueError(f"symmetric solver needs p == q, got {inst.p}x{inst.q}")
 
@@ -66,4 +66,5 @@ def solve_symmetric(inst: ProblemInstance,
         x, sigma = map_estimate(state, inst)
         return symmetrize(x), sigma
 
-    return iterate(inst, hyper, posterior, update_precision)
+    return iterate(inst, hyper, posterior, update_precision,
+                   DEFAULT_MAX_ITER)

@@ -12,7 +12,6 @@ from rsvm.core import (
     neg_log_joint,
     solve,
     update_precisions,
-    with_cap,
 )
 from rsvm.kronops import vec
 from rsvm.sensing import (
@@ -43,10 +42,10 @@ def flat_indices(p, q, cols):
 def solve_partitioned(inst, n_blocks, sweeps, hyper=None):
     """The accelerated solver with ``n_blocks`` column groups and ``sweeps``
     passes in place of its fixed N_BLOCKS and K_SWEEPS."""
-    return iterate(inst, with_cap(hyper, rsvm.accel.DEFAULT_MAX_ITER),
+    return iterate(inst, hyper,
                    block_descent(inst, partition_blocks(inst.q, n_blocks),
                                  sweeps),
-                   update_precisions)
+                   update_precisions, rsvm.accel.DEFAULT_MAX_ITER)
 
 
 def block_update(state, inst, cols):

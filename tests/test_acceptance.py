@@ -160,8 +160,8 @@ def test_criterion_05_completion_benchmark():
     table, failures = gap_table(rows)
     gaps = {v: table[v]["nuclear"] - table[v]["rsvm"] for v in sorted(table)}
     detail = ", ".join(
-        f"m/pq={v:g}: rsvm {table[v]['rsvm']:.1f} dB vs nuclear "
-        f"{table[v]['nuclear']:.1f} dB (gap {gaps[v]:.1f})"
+        f"m/pq={v:g}: rsvm {table[v]['rsvm']:.2f} dB vs nuclear "
+        f"{table[v]['nuclear']:.2f} dB (gap {gaps[v]:.2f})"
         for v in sorted(table))
     elapsed = time.perf_counter() - start
     report(5, "completion sweep: solver at least 2 dB below nuclear",
@@ -180,8 +180,8 @@ def test_criterion_06_reconstruction_benchmark():
     table, failures = gap_table(rows)
     gaps = {v: table[v]["nuclear"] - table[v]["rsvm"] for v in sorted(table)}
     detail = ", ".join(
-        f"m/pq={v:g}: rsvm {table[v]['rsvm']:.1f} / accel "
-        f"{table[v]['rsvm-accel']:.1f} / nuclear {table[v]['nuclear']:.1f} dB"
+        f"m/pq={v:g}: rsvm {table[v]['rsvm']:.2f} / accel "
+        f"{table[v]['rsvm-accel']:.2f} / nuclear {table[v]['nuclear']:.2f} dB"
         for v in sorted(table))
     elapsed = time.perf_counter() - start
     report(6, "reconstruction sweep: solver at least 3 dB below nuclear",
@@ -204,8 +204,8 @@ def test_criterion_07_rank_sweep_benchmark():
         g_rsvm = table[v]["nuclear"] - table[v]["rsvm"]
         g_accel = table[v]["nuclear"] - table[v]["rsvm-accel"]
         ok = ok and g_rsvm >= 2.0 and g_accel >= 2.0
-        parts.append(f"r={int(v)}: gaps rsvm {g_rsvm:.1f} / accel "
-                     f"{g_accel:.1f} dB")
+        parts.append(f"r={int(v)}: gaps rsvm {g_rsvm:.2f} / accel "
+                     f"{g_accel:.2f} dB")
     elapsed = time.perf_counter() - start
     report(7, "rank sweep: solver and accelerated variant 2 dB below nuclear",
            ok and failures == 0, ", ".join(parts) + f", {elapsed:.0f}s")

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -256,8 +257,8 @@ class TestRunExperiment:
         rows = {hyper: run_experiment(tiny_config(
                     hyper=hyper, algorithms=("rsvm", "rsvm-accel"),
                     n_matrices=1, n_measurements=1, record_timing=False))
-                for hyper in (None, Hyperparameters(tol=1e-6))}
-        assert rows[None] == rows[Hyperparameters(tol=1e-6)]
+                for hyper in (None, Hyperparameters())}
+        assert rows[None] == rows[Hyperparameters()]
         assert [r.iterations for r in rows[None]] == [25, 30]
 
     def test_solver_abort_recorded_as_failure_row(self, monkeypatch):
@@ -443,29 +444,31 @@ class TestCli:
 
     @pytest.mark.parametrize("section", [
         {"hyper": {"jitter": 1e-8}},
-        {"hyper": {"tol": -1}},
+        {"hyper": {"max_iter": 0}},
         {"nuclear_cfg": {"lambda_bracket": [1e-3, 1]}},
         {"nuclear_cfg": {"bisect_tol": 0}},
         {"hyper": {"max_iter": 2.5}},
         {"n_matrices": 2.5},
         {"n_measurements": 0},
         {"jobs": -3},
-        {"hyper": {"tol": math.nan}},
-        {"hyper": {"tol": math.inf}},
-        {"hyper": {"tol": 2.0}},
+        {"hyper": {"max_iter": math.nan}},
+        {"hyper": {"max_iter": math.inf}},
+        {"hyper": {"tol": 1e-6}},
         {"nuclear_cfg": {"bisect_tol": math.nan}},
         {"nuclear_cfg": {"bisect_tol": math.inf}},
-        {"hyper": {"tol": True}},
+        {"hyper": {"max_iter": True}},
         {"algorithms": 5},
         {"algorithms": "rsvm"},
+        {"algorithms": ["nuclear", "nuclear"]},
         {"psd_truth": "false", "q": 6},  # square, so only the type is wrong
         {"record_timing": "no"},
     ], ids=["hyper-unknown", "hyper-invalid", "nuclear-unknown",
             "nuclear-invalid", "hyper-fractional-cap",
             "fractional-matrices", "zero-measurements", "negative-jobs",
-            "hyper-nan-tol", "hyper-inf-tol", "hyper-tol-above-one",
+            "hyper-nan-cap", "hyper-inf-cap", "hyper-unknown-tol",
             "nuclear-nan-bisect-tol", "nuclear-inf-bisect-tol",
-            "hyper-bool-tol", "algorithms-number", "algorithms-string",
+            "hyper-bool-cap", "algorithms-number", "algorithms-string",
+            "algorithms-repeated",
             "psd-truth-string", "record-timing-string"])
     def test_config_section_error_exit_code(self, tmp_path, capsys, section):
         config = {"scenario": "completion", "p": 6, "q": 8, "r": 1,
@@ -541,21 +544,31 @@ class TestCli:
         assert "config error: cannot load instance" in capsys.readouterr().err
 
     def test_readme_config_loads(self, tmp_path):
-        # the README's sweep config and its key lists track the dataclasses
-        text = README.read_text()
-        blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+        # the README's sweep config loads, its hyper section included
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         assert len(blocks) == 1
         cfg_path = tmp_path / "readme.json"
         cfg_path.write_text(blocks[0])
         cfg = cli._load_config(cfg_path, {})
         assert cfg.hyper is not None
-        for section, cls in (("hyper", Hyperparameters),
-                             ("nuclear_cfg", NuclearConfig)):
-            rows = [line for line in text.splitlines()
-                    if line.startswith(f"| `{section}`")]
-            assert len(rows) == 1
-            listed = set(re.findall(r"`(\w+)`", rows[0].split("|")[-2]))
-            assert listed == {f.name for f in dataclasses.fields(cls)}
+
+    def test_readme_settings_table(self):
+        # the README's table of nested sections names each section's class
+        # and lists exactly its fields; no section is missing or extra
+        text = README.read_text()
+        table = text[text.index("| Section | Keys |"):].split("\n\n")[0]
+        listed = {}
+        for line in table.splitlines()[2:]:
+            section, keys = line.split("|")[1:3]
+            name, path = re.fullmatch(r" `(\w+)` \(`([\w.]+)`\) ",
+                                      section).groups()
+            module, _, cls = path.rpartition(".")
+            listed[name] = (getattr(importlib.import_module(module), cls),
+                            set(re.findall(r"`(\w+)`", keys)))
+        assert listed == {
+            name: (cls, {f.name for f in dataclasses.fields(cls)})
+            for name, cls in (("hyper", Hyperparameters),
+                              ("nuclear_cfg", NuclearConfig))}
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["sweep", "--nonexistent-flag", "x"]) == 1

@@ -62,13 +62,6 @@ def small_instance(seed=0, p=3, q=3, m=5, noise=0.1):
     return measure(op, x, noise, [seed, 2])
 
 
-@pytest.mark.parametrize("flag", [True, False])
-def test_bool_tol_rejected(flag):
-    # 0 < True <= 1 holds, so a JSON true would otherwise run at tol = 1
-    with pytest.raises(ValueError, match="not a bool"):
-        Hyperparameters(tol=flag)
-
-
 class TestInitState:
     def test_identity_precisions(self):
         inst = small_instance()
@@ -422,11 +415,12 @@ class TestSolve:
         assert a.iterations == b.iterations
 
     @pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS)
-    @pytest.mark.parametrize("hyper", [Hyperparameters(max_iter=5),
-                                       Hyperparameters(tol=1e-2)],
+    @pytest.mark.parametrize("max_iter, tol", [(5, core.TOL), (None, 1e-2)],
                              ids=["capped", "converged"])
-    def test_trace_records(self, solver, hyper):
+    def test_trace_records(self, solver, max_iter, tol, monkeypatch):
         # one record per iteration, the last one matching the estimate
+        monkeypatch.setattr(core, "TOL", tol)
+        hyper = Hyperparameters(max_iter=max_iter)
         left = np.random.default_rng([1, 0]).standard_normal((6, 1))
         sigma_n = noise_sigma_for_snr("completion", 6, 6, 1, 25, 100.0)
         inst = measure(completion_operator(6, 6, 25, [1, 1]), left @ left.T,
@@ -437,9 +431,9 @@ class TestSolve:
             list(range(1, est.iterations + 1))
         assert trace[0].rel_change == 1.0  # X_0 = 0, X_1 != 0
         assert trace[-1].effective_rank == effective_rank(est.x_hat)
-        assert est.converged == (trace[-1].rel_change < hyper.tol)
-        assert est.converged == (hyper.tol == 1e-2)
-        assert all(r.rel_change >= hyper.tol for r in trace[:-1])
+        assert est.converged == (trace[-1].rel_change < core.TOL)
+        assert est.converged == (core.TOL == 1e-2)
+        assert all(r.rel_change >= core.TOL for r in trace[:-1])
         assert np.isfinite([(r.rel_change, r.neg_log_joint, r.beta,
                              r.effective_rank) for r in trace]).all()
         assert solver(inst, hyper).trace == trace
@@ -449,7 +443,6 @@ class TestIterate:
     @pytest.mark.parametrize("name", ["alpha_l", "alpha_r"])
     def test_non_finite_precision_is_divergence(self, name):
         inst = small_instance(54)
-        hyper = Hyperparameters(max_iter=4)
 
         def precisions(state):
             prec = update_precisions(state)
@@ -463,8 +456,8 @@ class TestIterate:
 
         with pytest.raises(SolverDivergenceError,
                            match="precisions at iteration 1") as info:
-            iterate(inst, hyper, lambda state: map_estimate(state, inst),
-                    precisions)
+            iterate(inst, None, lambda state: map_estimate(state, inst),
+                    precisions, cap=4)
         assert np.isnan(getattr(info.value.state.precisions, name)[0, 0])
 
     def test_non_finite_noise_precision_is_divergence(self, monkeypatch):

@@ -162,10 +162,16 @@ class TestStructuredCovariance:
                                   Prior.from_precision(np.eye(2)), op, 1.0)
 
     def test_beta_must_be_positive(self):
-        op = completion_operator(2, 2, 2, 0)
-        with pytest.raises(ValueError):
-            structured_covariance(Prior.from_precision(np.eye(2)),
-                                  Prior.from_precision(np.eye(2)), op, 0.0)
+        # observed-side completion, missing-side completion, dense sensing;
+        # a NaN beta would give a NaN covariance in each
+        left, right = Prior.from_precision(np.eye(3)), \
+            Prior.from_precision(np.eye(4))
+        for op in (completion_operator(3, 4, 3, 0),
+                   completion_operator(3, 4, 9, 0),
+                   gaussian_operator(3, 4, 5, 0)):
+            for beta in (0.0, -1.0, np.nan):
+                with pytest.raises(ValueError, match="beta must be positive"):
+                    structured_covariance(left, right, op, beta)
 
     @pytest.mark.parametrize("m", [3, 9])
     def test_precision_update_matches_dense_sigma(self, m):
