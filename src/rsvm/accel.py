@@ -25,7 +25,7 @@ from .core import (
     update_precisions,
 )
 from .kronops import BlockCovariance, Prior, structured_covariance
-from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
+from .sensing import COMPLETION, DENSE, MeasurementOperator, ProblemInstance
 
 
 def partition_blocks(q: int, n_blocks: int) -> list[np.ndarray]:
@@ -40,18 +40,21 @@ def partition_blocks(q: int, n_blocks: int) -> list[np.ndarray]:
     return np.array_split(np.arange(q), n_blocks)
 
 
-def _block_operator(op: MeasurementOperator, cols: np.ndarray):
-    """A stand-in for A_b, the columns of A for the columns ``cols`` of X,
-    with the same Gram matrix A_b^T A_b: the observed positions within the
-    block for completion (possibly none), the R factor of A_b = Q R for
-    dense sensing (min(m, p len(cols)) rows)."""
+def _block_operator(op: MeasurementOperator,
+                    cols: np.ndarray) -> MeasurementOperator:
+    """A p x len(cols) stand-in for A_b, the columns of A for the columns
+    ``cols`` of X, with the same Gram matrix A_b^T A_b: for completion the
+    mask of the block's observed positions (possibly none), for dense
+    sensing the R factor of A_b = Q R (min(m, p len(cols)) rows)."""
     flat = np.arange(op.p * op.q).reshape(op.q, op.p)[cols].ravel()
     if op.kind == COMPLETION:
         local = np.full(op.p * op.q, -1)
         local[flat] = np.arange(flat.size)
         pos = local[op.vec_indices]
-        return pos[pos >= 0]
-    return np.linalg.qr(op.matrix[:, flat], mode="r")
+        return MeasurementOperator(COMPLETION, op.p, cols.size,
+                                   vec_indices=pos[pos >= 0])
+    r = np.linalg.qr(op.matrix[:, flat], mode="r")
+    return MeasurementOperator(DENSE, op.p, cols.size, matrix=r)
 
 
 def _block_rhs(inst: ProblemInstance, x: np.ndarray, prec: PrecisionState,

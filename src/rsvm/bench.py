@@ -101,8 +101,11 @@ class ExperimentConfig:
         if not getattr(self, sweeps[0]):
             raise ConfigError("sweep list must be non-empty")
         self.sweep_axis = sweeps[0]
-        for value in self.sweep_values():
-            _point_params(self, value)
+        points = [_point_params(self, value) for value in self.sweep_values()]
+        if len(set(points)) < len(points):
+            raise ConfigError(
+                f"sweep points must not repeat, got {self.sweep_axis}="
+                f"{self.sweep_values()} giving (p, q, r, m) = {points}")
 
     def sweep_values(self) -> list:
         return list(getattr(self, self.sweep_axis))

@@ -174,8 +174,12 @@ def _cmd_sweep(args) -> int:
     if args.out is not None:
         overrides["output_path"] = args.out
     cfg = _load_config(args.config, overrides)
-    rows = run_experiment(cfg)
     out = cfg.output_path or "results.csv"
+    try:  # can the rows be written? "a" leaves an existing file whole
+        Path(out).open("a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write rows to {out}: {exc}") from exc
+    rows = run_experiment(cfg)
     write_csv(rows, out)
     n_failed = sum(row.failed for row in rows)
     print(f"wrote {len(rows)} rows ({n_failed} failures) -> {out}")

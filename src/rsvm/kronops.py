@@ -202,9 +202,12 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
 
     LAPACK dpotri on the factor of :func:`_spd_factor` (same jitter
     schedule), in the factor's buffer; raises :class:`FactorizationError`
-    when the schedule is exhausted. The result is exactly symmetric.
+    when the schedule is exhausted. The result is exactly symmetric; a
+    0 x 0 matrix is its own inverse.
     """
     c = _spd_factor(m)
+    if not c.size:  # dpotri rejects a 0 x 0 argument
+        return c
     _, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
@@ -217,24 +220,6 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
         d[...] = np.triu(d) + np.triu(d, 1).T
         t[s + 256:, s:s + 256] = t[s:s + 256, s + 256:].T
     return t
-
-
-def _operator_parts(a):
-    """Accept a measurement operator, a dense m x pq array, or a 1-d
-    integer array of observed column-major vec indices (a completion mask).
-
-    Returns (vec_indices, dense): exactly one is not None. Completion
-    operators are recognized structurally so this module stays free of a
-    dependency on the sensing module.
-    """
-    if isinstance(a, np.ndarray):
-        if a.ndim == 1 and np.issubdtype(a.dtype, np.integer):
-            return a, None
-        return None, np.asarray(a, dtype=float)
-    idx = getattr(a, "vec_indices", None)
-    if idx is not None:
-        return np.asarray(idx), None
-    return None, np.asarray(a.matrix, dtype=float)
 
 
 @dataclass
@@ -346,7 +331,7 @@ def _completion_covariance(prior_l: Prior, prior_r: Prior,
     gram = left[i] * right[j]
     kinv = gram.copy()
     kinv[np.diag_indices(idx.size)] += 1.0 / beta
-    kmat = spd_inverse(kinv) if idx.size else kinv
+    kmat = spd_inverse(kinv)
     return CompletionCovariance(c_l, c_r, i, j, left, right, kmat,
                                 float(np.vdot(gram, kmat)) / beta)
 
@@ -354,19 +339,20 @@ def _completion_covariance(prior_l: Prior, prior_r: Prior,
 def structured_covariance(
     prior_l: Prior,
     prior_r: Prior,
-    a,
+    op,
     beta: float,
 ) -> StructuredCovariance | CompletionCovariance:
     """Posterior covariance ((alpha_r kron alpha_l) + beta A^T A)^{-1} in
     one of the two Woodbury forms of the module docstring, for the prior
     precisions alpha_l and alpha_r of two :class:`Prior` factorizations.
 
-    ``a`` is a measurement operator, a dense m x pq array or a 1-d
-    integer array of observed vec indices, which may be empty. A
-    completion mask observing at most half the entries gives a
-    :class:`CompletionCovariance` over the m observed entries:
-    O(k^3 + k^2 (p + q)) to build and read. Dense sensing and
-    the missing side of completion (m > pq/2) give a
+    ``op`` is a p x q :class:`rsvm.sensing.MeasurementOperator`, read
+    through its ``vec_indices`` (a completion mask's observed vec
+    indices, possibly none) and ``matrix`` (dense sensing's m x pq
+    matrix, possibly with no rows). A completion mask observing at most
+    half the entries gives a :class:`CompletionCovariance` over the m
+    observed entries: O(k^3 + k^2 (p + q)) to build and read. Dense
+    sensing and the missing side of completion (m > pq/2) give a
     :class:`StructuredCovariance` over k = m measurements or the pq - m
     missing entries: O(k^2 pq + k pq (p + q)). Neither factors a prior
     precision again: the observed side reads the priors' covariances, the
@@ -390,7 +376,7 @@ def structured_covariance(
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    idx, dense = _operator_parts(a)
+    idx, dense = op.vec_indices, op.matrix
     p, q = prior_l.values.size, prior_r.values.size
     sensing = dense is not None
     if not sensing and 2 * idx.size <= p * q:

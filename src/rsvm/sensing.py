@@ -20,11 +20,26 @@ COMPLETION = "completion"
 DENSE = "dense"
 
 
+def _integers(value, what: str) -> np.ndarray:
+    """``value`` as integers; ValueError unless each entry is integral.
+    Booleans are not integers here: a mask is not an index set."""
+    if np.asarray(value).dtype == bool:
+        raise ValueError(f"{what} must be integers, not booleans")
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.intp)
+
+
 class MeasurementOperator:
     """Linear map y = A vec(X) with forward/adjoint actions.
 
     Completion operators hold the observed positions as column-major vec
-    indices; the equivalent dense form has standard basis vectors as rows.
+    indices, distinct integers in [0, pq); the equivalent dense form has
+    standard basis vectors as rows. Dense operators hold a finite
+    m x pq matrix. Either may have m = 0 rows, a zero map: the
+    accelerated solver's column block may observe nothing. Loading an
+    instance rejects both (:func:`instance_from_dict`).
     """
 
     def __init__(self, kind, p, q, vec_indices=None, matrix=None):
@@ -32,12 +47,12 @@ class MeasurementOperator:
         self.p = int(p)
         self.q = int(q)
         if kind == COMPLETION:
-            idx = np.asarray(vec_indices, dtype=np.intp)
-            if idx.ndim != 1 or idx.size == 0:
+            idx = _integers(vec_indices, "completion indices")
+            if idx.ndim != 1:
                 raise ValueError("completion operator needs a 1-d index set")
             if np.unique(idx).size != idx.size:
                 raise ValueError("completion indices must be distinct")
-            if idx.min() < 0 or idx.max() >= self.p * self.q:
+            if np.any((idx < 0) | (idx >= self.p * self.q)):
                 raise ValueError("completion index out of range")
             self.vec_indices = idx
             self.matrix = None
@@ -206,14 +221,6 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     return doc
 
 
-def _integers(value, what: str) -> np.ndarray:
-    """``value`` as integers; ValueError unless each entry is integral."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
-        raise ValueError(f"{what} must be integers")
-    return arr.astype(np.intp)
-
-
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Inverse of :func:`instance_to_dict`, checking p, q, m and indices."""
     p, q = _integers([doc["p"], doc["q"]], "p and q").tolist()
@@ -223,8 +230,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             raise ValueError(f"indices must be (i, j) pairs, got {ij.shape}")
         op = MeasurementOperator(COMPLETION, p, q,
                                  vec_indices=ij[:, 1] * p + ij[:, 0])
-    else:
-        op = MeasurementOperator(DENSE, p, q, matrix=np.asarray(doc["matrix"]))
+    else:  # dense, or a kind the constructor rejects
+        op = MeasurementOperator(doc["kind"], p, q,
+                                 matrix=np.asarray(doc["matrix"]))
     if doc["m"] != op.m:
         raise ValueError(f"m = {doc['m']!r} but the operator has {op.m} rows")
     truth = doc.get("ground_truth")

@@ -92,10 +92,11 @@ def densify(cov, p, q):
 def posterior_covariance(alpha_l, alpha_r, a, beta, method="direct"):
     """((alpha_r kron alpha_l) + beta A^T A)^{-1} as a dense pq x pq matrix.
 
-    ``a`` is a measurement operator or a dense m x pq array.
-    ``method="direct"`` inverts the definition with numpy; ``"woodbury"``
-    densifies :func:`rsvm.kronops.structured_covariance` of the two
-    precisions' :class:`rsvm.kronops.Prior` factorizations.
+    ``method="direct"`` inverts the definition with numpy, for ``a`` a
+    measurement operator or a dense m x pq array; ``"woodbury"`` densifies
+    :func:`rsvm.kronops.structured_covariance` of the two precisions'
+    :class:`rsvm.kronops.Prior` factorizations, which takes only a
+    measurement operator.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -498,6 +498,33 @@ class TestCli:
         assert solves == []
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_output_path_unwritable_exit_code(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the rows file is opened before the first trial; an existing one
+        # keeps its contents until the rows replace them
+        rows_path = tmp_path / "rows.csv"
+        seen = []
+        run = bench.run_algorithm
+        monkeypatch.setattr(
+            bench, "run_algorithm",
+            lambda *args: seen.append(rows_path.read_text()) or run(*args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "completion", "p": 6, "q": 8, "r": 1,
+            "m_fraction": [0.6], "n_matrices": 1, "n_measurements": 1,
+            "algorithms": ["rsvm"], "hyper": {"max_iter": 2}}))
+        for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+            assert main(["sweep", "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "config error: cannot write rows")
+        assert seen == []
+        rows_path.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(rows_path)]) == 0
+        assert seen == ["old\n"]
+        assert rows_path.read_text().startswith("scenario,")
+
     @pytest.mark.parametrize("doc", [[1], "completion", None, 3],
                              ids=["list", "string", "null", "number"])
     def test_non_object_config_exit_code(self, tmp_path, capsys, doc):
@@ -509,7 +536,7 @@ class TestCli:
     @pytest.mark.parametrize("defect", [
         "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
         "nan-sigma", "negative-sigma", "m-mismatch", "fractional-index",
-        "fractional-p", "wide-index"])
+        "fractional-p", "wide-index", "unknown-kind"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -535,6 +562,9 @@ class TestCli:
                 doc["p"] = 4.5
             elif defect == "wide-index":
                 doc["indices"] = [[i, j, 7] for i, j in doc["indices"]]
+            elif defect == "unknown-kind":  # would load as dense sensing
+                doc["kind"] = "foo"
+                doc["matrix"] = np.eye(16)[:doc["m"]].tolist()
             else:
                 doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
                     else -1.0
@@ -602,9 +632,11 @@ class TestCli:
         {"snr_db": 4000},
         {"snr_db": -4000},
         {"snr_db": -3100},
+        {"m_fraction": [0.5, 0.5]},
+        {"m_fraction": [0.5, 0.504]},  # both give m = 24
     ], ids=["rank", "m-fraction-high", "m-fraction-low", "psd-non-square",
             "fractional-seed", "text-snr", "fractional-p", "huge-snr",
-            "tiny-snr", "inf-noise"])
+            "tiny-snr", "inf-noise", "repeated-point", "repeated-m"])
     def test_out_of_range_point_exit_code(self, tmp_path, capsys,
                                           monkeypatch, point):
         # every point is checked before the first trial runs

@@ -126,6 +126,11 @@ class TestSpdInverse:
         np.testing.assert_allclose(spd_inverse(np.eye(3)), np.eye(3),
                                    atol=1e-14)
 
+    def test_empty(self):
+        # an accelerated block observing nothing has a 0 x 0 Gram matrix
+        out = spd_inverse(np.empty((0, 0)))
+        assert out.shape == (0, 0)
+
     def test_diagonal(self):
         out = spd_inverse(np.diag([2.0, 4.0]))
         np.testing.assert_allclose(out, np.diag([0.5, 0.25]), atol=1e-14)
@@ -258,8 +263,10 @@ class TestPosteriorCovariance:
         ar = random_spd(rng, 4)
         # the mask's index form against its one-hot rows as dense sensing
         via_op = posterior_covariance(al, ar, op, 1.5, method="woodbury")
-        via_arr = posterior_covariance(al, ar, dense_operator(op), 1.5,
-                                       method="woodbury")
+        via_arr = posterior_covariance(
+            al, ar, MeasurementOperator("dense", 3, 4,
+                                        matrix=dense_operator(op)),
+            1.5, method="woodbury")
         np.testing.assert_allclose(via_op, via_arr, rtol=1e-10, atol=1e-14)
 
     def test_small_beta_limit(self):

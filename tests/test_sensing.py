@@ -51,6 +51,13 @@ class TestCompletionOperator:
         with pytest.raises(ValueError):
             MeasurementOperator("completion", 2, 2, vec_indices=[0, 0, 1])
 
+    @pytest.mark.parametrize("indices", [[0.7, 1.2, 3.9], [True, False]],
+                             ids=["fractional", "boolean"])
+    def test_non_integer_indices_rejected(self, indices):
+        # neither is truncated nor read as positions
+        with pytest.raises(ValueError, match="must be integers"):
+            MeasurementOperator("completion", 2, 2, vec_indices=indices)
+
 
 class TestGaussianOperator:
     def test_unit_columns(self):
@@ -137,13 +144,16 @@ class TestAdjoint:
     @pytest.mark.parametrize("make_op", [
         lambda: completion_operator(4, 6, 13, 17),
         lambda: gaussian_operator(4, 6, 13, 18),
+        # zero maps: an empty mask, a dense matrix with no rows
+        lambda: MeasurementOperator("completion", 4, 6, vec_indices=[]),
+        lambda: MeasurementOperator("dense", 4, 6, matrix=np.zeros((0, 24))),
     ])
     def test_inner_product_identity(self, make_op):
         op = make_op()
         rng = np.random.default_rng(19)
         for _ in range(10):
             v = rng.standard_normal(24)
-            w = rng.standard_normal(13)
+            w = rng.standard_normal(op.m)
             lhs = float(op.apply(v) @ w)
             rhs = float(v @ op.apply_adjoint(w))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)

@@ -36,6 +36,7 @@ from rsvm.kronops import (
     vec,
 )
 from rsvm.sensing import (
+    MeasurementOperator,
     completion_operator,
     gaussian_operator,
     generate_low_rank,
@@ -139,9 +140,10 @@ class TestStructuredCovariance:
         # an accelerated block may observe nothing: Sigma = C_r kron C_l
         rng = np.random.default_rng(7)
         al, ar = random_spd(rng, 3), random_spd(rng, 2)
+        op = MeasurementOperator("completion", 3, 2,
+                                 vec_indices=np.array([], dtype=int))
         sigma = structured_covariance(Prior.from_precision(al),
-                                      Prior.from_precision(ar),
-                                      np.array([], dtype=int), 0.5)
+                                      Prior.from_precision(ar), op, 0.5)
         assert isinstance(sigma, CompletionCovariance)
         prior = np.kron(spd_inverse(ar), spd_inverse(al))
         np.testing.assert_allclose(densify(sigma, 3, 2), prior, rtol=1e-12)
