@@ -32,8 +32,6 @@ from .kronops import (
     Prior,
     StructuredCovariance,
     structured_covariance,
-    unvec,
-    vec,
 )
 from .sensing import ProblemInstance
 
@@ -173,7 +171,7 @@ def map_estimate(state: SolverState, inst: ProblemInstance
     prec = state.precisions
     sigma = structured_covariance(prec.prior_l, prec.prior_r, inst.operator,
                                   prec.beta)
-    rhs = unvec(inst.operator.apply_adjoint(inst.y), inst.p, inst.q)
+    rhs = inst.operator.adjoint(inst.y)
     return prec.beta * sigma.apply(rhs), sigma
 
 
@@ -203,7 +201,7 @@ def update_noise_precision(state: SolverState, inst: ProblemInstance) -> float:
 
     Raises SolverDivergenceError when the denominator is not positive.
     """
-    resid = inst.y - inst.operator.apply(vec(state.x_hat))
+    resid = inst.y - inst.operator.forward(state.x_hat)
     denom = float(resid @ resid) + state.sigma.trace_quadratic() \
         + 2.0 * GAMMA_D
     if not denom > 0:
@@ -238,7 +236,7 @@ def neg_log_joint(state: SolverState, inst: ProblemInstance) -> float:
     """Data misfit plus prior quadratic form, up to X-independent constants."""
     prec = state.precisions
     x = state.x_hat
-    resid = inst.y - inst.operator.apply(vec(x))
+    resid = inst.y - inst.operator.forward(x)
     prior = float(np.sum((prec.alpha_l @ x @ prec.alpha_r) * x))
     return 0.5 * prec.beta * float(resid @ resid) + 0.5 * prior
 

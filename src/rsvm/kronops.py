@@ -349,14 +349,15 @@ def structured_covariance(
     ``op`` is a p x q :class:`rsvm.sensing.MeasurementOperator`, read
     through its ``vec_indices`` (a completion mask's observed vec
     indices, possibly none) and ``matrix`` (dense sensing's m x pq
-    matrix, possibly with no rows). A completion mask observing at most
-    half the entries gives a :class:`CompletionCovariance` over the m
-    observed entries: O(k^3 + k^2 (p + q)) to build and read. Dense
-    sensing and the missing side of completion (m > pq/2) give a
-    :class:`StructuredCovariance` over k = m measurements or the pq - m
-    missing entries: O(k^2 pq + k pq (p + q)). Neither factors a prior
-    precision again: the observed side reads the priors' covariances, the
-    eigenbasis form their eigenvectors and eigenvalues.
+    matrix, possibly with no rows); ValueError unless p x q is the
+    priors' size. A completion mask observing at most half the entries
+    gives a :class:`CompletionCovariance` over the m observed entries:
+    O(k^3 + k^2 (p + q)) to build and read. Dense sensing and the missing
+    side of completion (m > pq/2) give a :class:`StructuredCovariance`
+    over k = m measurements or the pq - m missing entries:
+    O(k^2 pq + k pq (p + q)). Neither factors a prior precision again:
+    the observed side reads the priors' covariances, the eigenbasis form
+    their eigenvectors and eigenvalues.
 
     In the eigenbasis form, D = d_l d_r^T holds the prior precision's
     eigenvalues and the atoms Ah_t = U_l^T A_t U_r the Woodbury index rows
@@ -378,6 +379,8 @@ def structured_covariance(
         raise ValueError("beta must be positive")
     idx, dense = op.vec_indices, op.matrix
     p, q = prior_l.values.size, prior_r.values.size
+    if (op.p, op.q) != (p, q):
+        raise ValueError(f"{op.p}x{op.q} operator with {p}x{q} priors")
     sensing = dense is not None
     if not sensing and 2 * idx.size <= p * q:
         return _completion_covariance(prior_l, prior_r, idx, beta)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Estimate
-from .kronops import unvec, vec
 from .sensing import COMPLETION, MeasurementOperator, ProblemInstance
 
 FISTA_TOL = 1e-8        # FISTA stops at this relative objective change
@@ -72,13 +71,12 @@ def largest_gram_eigenvalue(op: MeasurementOperator) -> float:
 
 def _objective(inst, x, lam, nuc):
     """Lagrangian objective at x, given nuc = ||x||_*."""
-    r = inst.y - inst.operator.apply(vec(x))
+    r = inst.y - inst.operator.forward(x)
     return 0.5 * float(r @ r) + lam * nuc
 
 
 def _grad(inst, x):
-    r = inst.y - inst.operator.apply(vec(x))
-    return -unvec(inst.operator.apply_adjoint(r), inst.p, inst.q)
+    return -inst.operator.adjoint(inst.y - inst.operator.forward(x))
 
 
 def _prox_step(inst, x, step, lam):
@@ -169,7 +167,7 @@ def solve_constrained(inst: ProblemInstance, delta: float,
     while True:
         x, its = _fista(inst, lam, x, lip)
         total_iters += its
-        r = float(np.linalg.norm(inst.y - inst.operator.apply(vec(x))))
+        r = float(np.linalg.norm(inst.y - inst.operator.forward(x)))
         gap = abs(r - delta)
         if gap <= cfg.bisect_tol * delta:
             return Estimate(x_hat=x, iterations=total_iters, converged=True)

@@ -223,7 +223,9 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Inverse of :func:`instance_to_dict`, checking p, q, m and indices."""
-    p, q = _integers([doc["p"], doc["q"]], "p and q").tolist()
+    p, q, m = (_integers(doc[key], key) for key in ("p", "q", "m"))
+    if p.ndim or q.ndim or m.ndim:
+        raise ValueError("p, q and m must be single integers")
     if doc["kind"] == COMPLETION:
         ij = _integers(doc["indices"], "indices")
         if ij.shape[1:] != (2,):
@@ -233,7 +235,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     else:  # dense, or a kind the constructor rejects
         op = MeasurementOperator(doc["kind"], p, q,
                                  matrix=np.asarray(doc["matrix"]))
-    if doc["m"] != op.m:
+    if m != op.m:
         raise ValueError(f"m = {doc['m']!r} but the operator has {op.m} rows")
     truth = doc.get("ground_truth")
     return ProblemInstance(

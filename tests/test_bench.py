@@ -536,7 +536,7 @@ class TestCli:
     @pytest.mark.parametrize("defect", [
         "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
         "nan-sigma", "negative-sigma", "m-mismatch", "fractional-index",
-        "fractional-p", "wide-index", "unknown-kind"])
+        "fractional-p", "wide-index", "unknown-kind", "bool-m"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -565,6 +565,8 @@ class TestCli:
             elif defect == "unknown-kind":  # would load as dense sensing
                 doc["kind"] = "foo"
                 doc["matrix"] = np.eye(16)[:doc["m"]].tolist()
+            elif defect == "bool-m":  # one entry, so true == 1 rows
+                doc.update(m=True, y=doc["y"][:1], indices=doc["indices"][:1])
             else:
                 doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
                     else -1.0

@@ -248,6 +248,16 @@ class TestSerialization:
         assert (a.operator.vec_indices.tobytes()
                 == b.operator.vec_indices.tobytes())
 
+    @pytest.mark.parametrize("key", ["p", "q", "m"])
+    @pytest.mark.parametrize("bad", [True, [1]], ids=["boolean", "list"])
+    def test_size_must_be_one_integer(self, key, bad):
+        # a 1x1 instance with one entry, where either would read as 1
+        doc = instance_to_dict(measure(completion_operator(1, 1, 1, 0),
+                                       np.ones((1, 1)), 0.0, 0))
+        doc[key] = bad
+        with pytest.raises(ValueError, match="must be"):
+            instance_from_dict(doc)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(p=st.integers(1, 5), q=st.integers(1, 5), m_frac=st.floats(0, 1),
            dense=st.booleans(), truth=st.booleans(),

@@ -175,6 +175,17 @@ class TestStructuredCovariance:
                 with pytest.raises(ValueError, match="beta must be positive"):
                     structured_covariance(left, right, op, beta)
 
+    @pytest.mark.parametrize("make, m", [(completion_operator, 5),
+                                         (completion_operator, 10),
+                                         (gaussian_operator, 5)],
+                             ids=["observed-side", "missing-side", "dense"])
+    def test_operator_shape_must_match_priors(self, make, m):
+        # a 3x4 operator read with 4x4 and 3x3 priors, transposed
+        with pytest.raises(ValueError, match="3x4 operator with 4x3 priors"):
+            structured_covariance(Prior.from_precision(np.eye(4)),
+                                  Prior.from_precision(np.eye(3)),
+                                  make(3, 4, m, 0), 1.0)
+
     @pytest.mark.parametrize("m", [3, 9])
     def test_precision_update_matches_dense_sigma(self, m):
         # core reads the structured form and the dense matrix alike
