@@ -102,7 +102,8 @@ def _spd_factor(m: np.ndarray) -> np.ndarray:
 
     Factors (m + m^T)/2 plus each shift of :func:`_jitter_schedule` in
     turn until one succeeds. Each attempt symmetrizes m into the same
-    buffer and factors it in place; m is never written.
+    buffer and factors it in place; m is never written. The strict upper
+    triangle of the factor is zero.
     """
     m = np.asarray(m, dtype=float)
     dim = m.shape[0]
@@ -113,7 +114,7 @@ def _spd_factor(m: np.ndarray) -> np.ndarray:
         if eps:
             buf[np.diag_indices(dim)] += eps
         # buf is symmetric, so its Fortran-ordered transpose is the matrix
-        _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=0,
+        _, info = scipy.linalg.lapack.dpotrf(buf.T, lower=1, clean=1,
                                              overwrite_a=1)
         if info == 0:
             return buf.T
@@ -211,13 +212,16 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     _, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"dpotri failed with info={info}")
-    # dpotri fills the lower triangle of c, the upper one of t = c^T. Mirror
-    # it by row blocks: rows s:e of t precede rows e: in memory, so each
-    # block copy runs without a matrix-sized temporary.
+    # dpotri fills the lower triangle of c, the upper one of t = c^T, and
+    # the factor left the other one zero. Mirror it by row blocks: rows s:e
+    # of t precede rows e: in memory, so each block copy runs without a
+    # matrix-sized temporary. A diagonal block d becomes d + d^T, the
+    # inverse with its diagonal doubled; halving it back is exact.
     t = c.T
     for s in range(0, t.shape[0], 256):
         d = t[s:s + 256, s:s + 256]
-        d[...] = np.triu(d) + np.triu(d, 1).T
+        d += d.T
+        d[np.diag_indices(d.shape[0])] *= 0.5
         t[s + 256:, s:s + 256] = t[s:s + 256, s + 256:].T
     return t
 
@@ -228,9 +232,11 @@ class StructuredCovariance:
 
     Built by :func:`structured_covariance`. Matrices live in the Kronecker
     eigenbasis, where a p x q matrix Y reads U_l^T Y U_r. ``rows[:, t, :]``
-    is the t-th of the k rows of Z, a p x q matrix; the p x k x q layout
-    lets the mean and both contractions run as plain matrix products on
-    views. Nothing pq x pq is stored.
+    is the t-th of the k rows of Z, a p x q matrix. The p x k x q layout
+    is the one copy every read uses: the mean runs two batched matrix
+    products over its p leading slices, and both contractions run as plain
+    matrix products on its (p k) x q and p x (k q) views. Nothing pq x pq
+    is stored.
     """
 
     u_l: np.ndarray      # p x p eigenvectors of alpha_l
@@ -243,9 +249,9 @@ class StructuredCovariance:
     def apply(self, y: np.ndarray) -> np.ndarray:
         """unvec(Sigma vec(Y)) for a p x q matrix Y."""
         yh = self.u_l.T @ np.asarray(y, dtype=float) @ self.u_r
-        coef = np.einsum("itj,ij->t", self.rows, yh)
-        z = self.lam * yh \
-            + self.sign * np.einsum("itj,t->ij", self.rows, coef)
+        # coef_t = <Z_t, Yh>: p batched (k x q) (q x 1) products, summed
+        coef = np.matmul(self.rows, yh[:, :, None]).sum(axis=0)[:, 0]
+        z = self.lam * yh + self.sign * (coef @ self.rows)
         return self.u_l @ z @ self.u_r.T
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
@@ -423,24 +429,25 @@ def structured_covariance(
 @dataclass
 class BlockCovariance:
     """Block-diagonal Sigma over disjoint groups of whole columns of X:
-    ``blocks[b]`` covers the columns ``columns[b]``, with prior
-    alpha_r[b, b] kron alpha_l; entries across groups are zero."""
+    ``blocks[b]`` covers the contiguous columns ``columns[b]``, a slice,
+    with prior alpha_r[b, b] kron alpha_l; entries across groups are
+    zero."""
 
-    columns: list[np.ndarray]
+    columns: list[slice]
     blocks: list[StructuredCovariance | CompletionCovariance]
 
     def contract_right(self, alpha_r: np.ndarray) -> np.ndarray:
         """The p x p contraction of the module docstring, block summed."""
         alpha_r = np.asarray(alpha_r, dtype=float)
-        return sum(s.contract_right(alpha_r[np.ix_(c, c)])
+        return sum(s.contract_right(alpha_r[c, c])
                    for c, s in zip(self.columns, self.blocks))
 
     def contract_left(self, alpha_l: np.ndarray) -> np.ndarray:
         """The q x q contraction of the module docstring, block by block."""
-        q = sum(c.size for c in self.columns)
+        q = max(c.stop for c in self.columns)
         out = np.zeros((q, q))
         for c, s in zip(self.columns, self.blocks):
-            out[np.ix_(c, c)] = s.contract_left(alpha_l)
+            out[c, c] = s.contract_left(alpha_l)
         return out
 
     def trace_quadratic(self) -> float:

@@ -9,6 +9,7 @@ seed.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +21,22 @@ COMPLETION = "completion"
 DENSE = "dense"
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ValueError unless its entries are
+    integers or floats. Strings and booleans are not numbers here."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numbers, got {arr.dtype} entries")
+    return arr.astype(float)
+
+
 def _integers(value, what: str) -> np.ndarray:
-    """``value`` as integers; ValueError unless each entry is integral.
-    Booleans are not integers here: a mask is not an index set."""
+    """``value`` as integers; ValueError unless each entry is an integral
+    number (:func:`_numbers`). Booleans are not integers here: a mask is
+    not an index set."""
     if np.asarray(value).dtype == bool:
         raise ValueError(f"{what} must be integers, not booleans")
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, what)
     if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
         raise ValueError(f"{what} must be integers")
     return arr.astype(np.intp)
@@ -234,15 +245,19 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                                  vec_indices=ij[:, 1] * p + ij[:, 0])
     else:  # dense, or a kind the constructor rejects
         op = MeasurementOperator(doc["kind"], p, q,
-                                 matrix=np.asarray(doc["matrix"]))
+                                 matrix=_numbers(doc["matrix"], "matrix"))
     if m != op.m:
         raise ValueError(f"m = {doc['m']!r} but the operator has {op.m} rows")
     truth = doc.get("ground_truth")
+    sigma_n = doc["sigma_n"]
+    if isinstance(sigma_n, bool) or not isinstance(sigma_n, numbers.Real):
+        raise ValueError(f"sigma_n must be a real number, got {sigma_n!r}")
     return ProblemInstance(
         operator=op,
-        y=np.asarray(doc["y"], dtype=float),
-        ground_truth=None if truth is None else np.asarray(truth, dtype=float),
-        sigma_n=float(doc["sigma_n"]),
+        y=_numbers(doc["y"], "y"),
+        ground_truth=None if truth is None
+        else _numbers(truth, "ground_truth"),
+        sigma_n=float(sigma_n),
     )
 
 

@@ -72,6 +72,30 @@ def dense_block_update(alpha_l, alpha_r, a_dense, y, beta, x_flat, idx):
     return cov @ rhs, cov
 
 
+def recompute_block_descent(inst, prec, x, columns, sweeps):
+    """``sweeps`` cyclic passes of exact block minimization over the column
+    groups ``columns`` from X = ``x``, each step recomputed from the whole
+    operator: the right-hand side
+    (beta A^T (y - A vec X0) - alpha_l X0 alpha_r)[:, cols], X0 = X with
+    the group's columns zeroed, solved against the block's dense precision
+    alpha_r[cols, cols] kron alpha_l + beta A_b^T A_b."""
+    a = dense_operator(inst.operator)
+    p, q = x.shape
+    x = np.array(x, dtype=float)
+    for _ in range(sweeps):
+        for cols in columns:
+            x0 = x.copy()
+            x0[:, cols] = 0.0
+            resid = inst.y - a @ vec(x0)
+            rhs = prec.beta * unvec(a.T @ resid, p, q)[:, cols] \
+                - prec.alpha_l @ (x0 @ prec.alpha_r[:, cols])
+            a_b = a[:, np.arange(p * q).reshape(q, p)[cols].ravel()]
+            mat = np.kron(prec.alpha_r[np.ix_(cols, cols)], prec.alpha_l) \
+                + prec.beta * (a_b.T @ a_b)
+            x[:, cols] = unvec(np.linalg.solve(mat, vec(rhs)), p, len(cols))
+    return x
+
+
 def dense_operator(op):
     """A measurement operator's m x pq matrix; a completion mask has one
     standard basis vector per row."""

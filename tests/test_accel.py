@@ -24,7 +24,7 @@ from rsvm.sensing import (
 )
 
 from naive_oracles import (dense_block_update, dense_operator, densify,
-                           random_spd)
+                           random_spd, recompute_block_descent)
 
 
 def noisy_instance(p, q, r, m, seed, snr=100.0):
@@ -53,6 +53,29 @@ def block_update(state, inst, cols):
     a one-group, one-pass block-descent step."""
     x, cov = block_descent(inst, [cols], 1)(state)
     return x, cov.blocks[0]
+
+
+# (operator kind, m) on 4 x 6 in three blocks of p w = 8 entries:
+# completion on both sides of m = pq/2 observes only columns 0-3, so the
+# last block has no observed entry; Gaussian sensing has m below and above
+# p w
+CONDITIONAL_CASES = [("completion", 5), ("completion", 15),
+                     ("gaussian", 6), ("gaussian", 20)]
+
+
+def conditional_case(kind, m):
+    """A 4 x 6 instance of CONDITIONAL_CASES and a state with random
+    precisions and estimate."""
+    p, q = 4, 6
+    rng = np.random.default_rng(m)
+    if kind == "completion":
+        op = MeasurementOperator("completion", p, q, vec_indices=rng.choice(
+            16, size=m, replace=False))
+    else:
+        op = gaussian_operator(p, q, m, m)
+    inst = measure(op, generate_low_rank(p, q, 2, m), 0.1, m)
+    prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
+    return inst, SolverState(rng.standard_normal((p, q)), None, prec)
 
 
 class TestPartition:
@@ -89,23 +112,11 @@ class TestBlockMapUpdate:
         np.testing.assert_allclose(densify(sigma_b, 3, 4),
                                    densify(sigma_full, 3, 4), rtol=1e-8)
 
-    @pytest.mark.parametrize("kind, m", [("completion", 5),
-                                         ("completion", 15),
-                                         ("gaussian", 6), ("gaussian", 20)])
+    @pytest.mark.parametrize("kind, m", CONDITIONAL_CASES)
     def test_matches_dense_conditional(self, kind, m):
-        # completion observes only columns 0-3, so the last of the three
-        # column blocks has no observed entry; Gaussian sensing with m
-        # below and above the block size p w = 8
-        p, q = 4, 6
-        rng = np.random.default_rng(m)
-        if kind == "completion":
-            op = MeasurementOperator("completion", p, q, vec_indices=rng.choice(
-                16, size=m, replace=False))
-        else:
-            op = gaussian_operator(p, q, m, m)
-        inst = measure(op, generate_low_rank(p, q, 2, m), 0.1, m)
-        prec = PrecisionState(random_spd(rng, p), random_spd(rng, q), 1.3)
-        state = SolverState(rng.standard_normal((p, q)), None, prec)
+        inst, state = conditional_case(kind, m)
+        op, prec = inst.operator, state.precisions
+        p, q = inst.p, inst.q
         for cols in partition_blocks(q, 3):
             xb, sigma_b = block_update(state, inst, cols)
             ref_x, ref_sigma = dense_block_update(
@@ -115,6 +126,39 @@ class TestBlockMapUpdate:
                                        atol=1e-12)
             np.testing.assert_allclose(densify(sigma_b, p, cols.size),
                                        ref_sigma, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, m", CONDITIONAL_CASES)
+    def test_running_residual_matches_recompute(self, kind, m):
+        # the running-residual step against each block's right-hand side
+        # recomputed from the whole operator
+        inst, state = conditional_case(kind, m)
+        columns = partition_blocks(inst.q, 3)
+        x, _ = block_descent(inst, columns, 3)(state)
+        ref = recompute_block_descent(inst, state.precisions, state.x_hat,
+                                      columns, 3)
+        np.testing.assert_allclose(x, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind, m", CONDITIONAL_CASES)
+    def test_one_forward_per_posterior_step(self, kind, m, monkeypatch):
+        # the residual is formed once per call; no block reads the whole
+        # operator
+        inst, state = conditional_case(kind, m)
+        step = block_descent(inst, partition_blocks(inst.q, 3), 3)
+        op, calls = inst.operator, []
+        for name in ("forward", "adjoint"):
+            def spy(arg, real=getattr(op, name), name=name):
+                calls.append(name)
+                return real(arg)
+            monkeypatch.setattr(op, name, spy)
+        step(state)
+        assert calls == ["forward"]
+
+    @pytest.mark.parametrize("group", [[0, 2], [1, 0]],
+                             ids=["gap", "unsorted"])
+    def test_group_must_be_contiguous(self, group):
+        inst = noisy_instance(4, 6, 1, 14, 35)
+        with pytest.raises(ValueError, match="consecutive columns"):
+            block_descent(inst, [np.array(group)], 1)
 
     def test_sweeps_converge_to_full_map(self):
         # fixed precisions: cyclic block descent reaches the joint solve

@@ -536,7 +536,8 @@ class TestCli:
     @pytest.mark.parametrize("defect", [
         "nan-y", "no-kind", "no-file", "truth-shape", "inf-truth",
         "nan-sigma", "negative-sigma", "m-mismatch", "fractional-index",
-        "fractional-p", "wide-index", "unknown-kind", "bool-m"])
+        "fractional-p", "wide-index", "unknown-kind", "bool-m",
+        "string-index"])
     def test_bad_instance_exit_code(self, tmp_path, capsys, defect):
         inst_path = tmp_path / "inst.json"
         assert main(["gen", "--p", "4", "--q", "4", "--r", "1",
@@ -567,6 +568,9 @@ class TestCli:
                 doc["matrix"] = np.eye(16)[:doc["m"]].tolist()
             elif defect == "bool-m":  # one entry, so true == 1 rows
                 doc.update(m=True, y=doc["y"][:1], indices=doc["indices"][:1])
+            elif defect == "string-index":  # would load as the numbers
+                doc["indices"] = [[str(i), str(j)]
+                                  for i, j in doc["indices"]]
             else:
                 doc["sigma_n"] = float("nan") if defect == "nan-sigma" \
                     else -1.0

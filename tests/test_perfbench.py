@@ -26,12 +26,10 @@ def test_perfbench_checks_pass():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("trace, section", [(0, "end_to_end"),
-                                            (1, "per_layer")])
-def test_benchmark_run_reports_declared_metrics(trace, section):
-    # one short run of the benchmark program BENCHMARK.json declares
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = ["--workload", "completion-15x30", "--seed", "1",
+def run_benchmark(spec, workload, trace):
+    """One short run of the benchmark program BENCHMARK.json declares; its
+    result line, after checking that every solve ran and was correct."""
+    args = ["--workload", workload, "--seed", "1",
             "--seconds", "0.1", "--trace", str(trace)]
     done = subprocess.run([sys.executable, *spec["command"][1:], *args],
                           cwd=ROOT, capture_output=True, text=True,
@@ -40,4 +38,19 @@ def test_benchmark_run_reports_declared_metrics(trace, section):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("trace, section", [(0, "end_to_end"),
+                                            (1, "per_layer")])
+def test_benchmark_run_reports_declared_metrics(trace, section):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    result = run_benchmark(spec, "completion-15x30", trace)
     assert list(result["metrics"]) == [m["name"] for m in spec[section]]
+
+
+def test_benchmark_dense_sensing_run_correct():
+    # the traced reconstruction workload runs rsvm-accel's dense-sensing
+    # block step, which the completion workload never reaches
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    run_benchmark(spec, "reconstruction-15x15", 1)

@@ -258,6 +258,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["p", "indices", "y", "matrix",
+                                       "ground_truth", "sigma_n",
+                                       "boolean-sigma_n"])
+    def test_strings_rejected_where_numbers_belong(self, field):
+        # none of these loads as the number it spells
+        make = gaussian_operator if field == "matrix" else completion_operator
+        doc = json.loads(json.dumps(instance_to_dict(measure(
+            make(2, 3, 4, 43), generate_low_rank(2, 3, 1, 44), 0.1, 45))))
+        if field == "indices":
+            doc["indices"] = [[str(i), str(j)] for i, j in doc["indices"]]
+        elif field in ("y", "ground_truth"):
+            doc[field][1] = "0.5" if field == "y" else ["1", "2", "3"]
+        elif field == "matrix":
+            doc["matrix"][1][2] = "1"
+        elif field == "p":
+            doc["p"] = "2"
+        else:
+            doc["sigma_n"] = "0" if field == "sigma_n" else False
+        with pytest.raises(ValueError, match="must be"):
+            instance_from_dict(doc)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(p=st.integers(1, 5), q=st.integers(1, 5), m_frac=st.floats(0, 1),
            dense=st.booleans(), truth=st.booleans(),

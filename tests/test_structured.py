@@ -209,6 +209,30 @@ class TestStructuredCovariance:
             <= 1e-12 * update_noise_precision(dense, inst)
 
 
+@pytest.mark.parametrize("make, m", [(completion_operator, 14),
+                                     (gaussian_operator, 10)],
+                         ids=["completion", "dense"])
+def test_block_covariance_matches_block_diagonal(make, m):
+    # the accelerated solver's BlockCovariance, its groups read as slices,
+    # against the dense block-diagonal matrix of its densified blocks
+    p, q = 4, 6
+    inst = measure(make(p, q, m, 75), generate_low_rank(p, q, 2, 76), 0.1,
+                   77)
+    rng = np.random.default_rng(78)
+    al, ar = random_spd(rng, p), random_spd(rng, q)
+    state = SolverState(np.zeros((p, q)), None, PrecisionState(al, ar, 1.3))
+    _, sigma = block_descent(inst, partition_blocks(q, 3), 1)(state)
+    dense = np.zeros((p * q, p * q))
+    for cols, block in zip(sigma.columns, sigma.blocks):
+        assert isinstance(cols, slice)
+        flat = slice(cols.start * p, cols.stop * p)
+        dense[flat, flat] = densify(block, p, cols.stop - cols.start)
+    assert_close(sigma.contract_right(ar), trace_contract_right(dense, ar))
+    new_l = random_spd(rng, p)
+    assert_close(sigma.contract_left(new_l), trace_contract_left(dense, new_l))
+    assert_close(sigma.trace_quadratic(), trace_quadratic(inst.operator, dense))
+
+
 @pytest.mark.parametrize("m_frac", [0.1, 0.9])
 @pytest.mark.parametrize("solver", ["rsvm", "symmetric", "accel"])
 def test_solvers_allocate_nothing_pq_by_pq(m_frac, solver):
